@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 from .exceptional import (
     FormulaDomainError,
-    labeling_233,
-    ordering_22n,
+    constructive_ordering,
+    formula_sizes,
     radio_number_formula,
 )
-from .graphs import GraphError, HammingGraph, Vertex, format_vertex, parse_graph
+from .graphs import GraphError, HammingGraph, format_vertex, parse_graph
 from .labeling import (
     LabelingError,
     read_labeling_csv,
@@ -49,7 +49,6 @@ SOLVER_VERTEX_LIMIT = 18  # sweep runs the exact solver up to this size
 class GraphSpec:
     """Parsed "2x3x3"-style spec with factors sorted ascending."""
 
-    text: str
     original: tuple[int, ...]
     sorted_sizes: tuple[int, ...]
     permutation: tuple[int, ...]  # original index of each sorted factor
@@ -67,7 +66,6 @@ def parse_spec(text: str) -> GraphSpec:
     g = parse_graph(text)
     tagged = sorted((s, i) for i, s in enumerate(g.factor_sizes))
     return GraphSpec(
-        text=text,
         original=g.factor_sizes,
         sorted_sizes=tuple(s for s, _ in tagged),
         permutation=tuple(i for _, i in tagged),
@@ -129,19 +127,6 @@ def _open_output(path: str | None):
 def _print_json(payload: dict, out) -> None:
     json.dump(payload, out, indent=2)
     out.write("\n")
-
-
-def _formula_sizes(spec: GraphSpec) -> tuple[int, int, int]:
-    """Map a spec onto the closed-form formula's domain, or raise."""
-    sizes = spec.sorted_sizes
-    if sizes == (2, 2) or sizes == (1, 2, 2):
-        return (2, 2, 1)
-    if len(sizes) == 3 and sizes[0] >= 2:
-        return sizes  # type: ignore[return-value]
-    raise FormulaDomainError(
-        f"spec {spec.text!r} is not a diameter-3 Hamming graph "
-        "(need three factors >= 2, or the degenerate 2x2)"
-    )
 
 
 def cmd_order(args) -> int:
@@ -214,8 +199,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rn(args) -> int:
-    spec = parse_spec(args.spec)
-    sizes = _formula_sizes(spec)
+    g = parse_graph(args.spec)
+    sizes = formula_sizes(g.factor_sizes)
     result = radio_number_formula(*sizes)
     payload = {
         "spec": args.spec,
@@ -225,7 +210,7 @@ def cmd_rn(args) -> int:
     }
     exit_code = EXIT_OK
     if args.certify:
-        solved = solve(HammingGraph(spec.original), _solver_config(args))
+        solved = solve(g, _solver_config(args))
         payload["solver_rn"] = solved.rn
         payload["solver_optimal"] = solved.optimal
         payload["nodes_explored"] = solved.nodes_explored
@@ -258,27 +243,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK if result.optimal else EXIT_BUDGET
 
 
-def _constructive_labeling(spec: GraphSpec):
-    """Constructive labeling for the sorted graph of the spec."""
-    sizes = _formula_sizes(spec)
-    g = HammingGraph(spec.sorted_sizes)
-    trivial = sum(1 for s in spec.sorted_sizes if s == 1)
-
-    def embed(v: Vertex) -> Vertex:
-        return (1,) * trivial + v
-
-    if sizes[:2] == (2, 2):
-        order = [embed(v) for v in ordering_22n(sizes[2])]
-        labeling, span = span_of_ordering(g, order)
-    elif sizes == (2, 3, 3):
-        labeling = labeling_233()
-        span = 20
-    else:
-        order = build_ordering(*sizes)
-        labeling, span = span_of_ordering(g, order)
-    return g, labeling, span
-
-
 def cmd_label(args) -> int:
     spec = parse_spec(args.spec)
     if spec.was_permuted:
@@ -287,7 +251,8 @@ def cmd_label(args) -> int:
             f"(isomorphic to {args.spec})",
             file=sys.stderr,
         )
-    g, labeling, span = _constructive_labeling(spec)
+    g = HammingGraph(spec.sorted_sizes)
+    labeling, span = span_of_ordering(g, constructive_ordering(spec.sorted_sizes))
     with _open_output(args.output) as out:
         write_labeling_csv(out, labeling)
     exit_code = EXIT_OK

@@ -10,19 +10,24 @@ graceful, so its radio number is lmn, except for two families:
   labels (a six-step chain of pairwise constraints forces the seventh vertex
   to equal the first), so two label jumps are forced among 18 vertices.
 
-This module carries explicit optimal labelings for both families, the
-run-length search behind those "no k consecutive labels" facts, and the
-jump-counting lower bound that turns a run-length cap into a radio-number
-bound.
+For both families this module holds a vertex ordering whose tight labeling
+(span_of_ordering) is optimal, and it is the one place that maps factor
+sizes to their family and that family's ordering (formula_sizes,
+constructive_ordering).  It also holds the run-length search behind the
+"no k consecutive labels" facts, and the jump-counting lower bound that
+turns a run-length cap into a radio-number bound.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Sequence
 
-from .graphs import HammingGraph, Vertex
-from .labeling import RadioLabeling
+from .graphs import HammingGraph, Vertex, hamming
+from .labeling import RadioLabeling, next_label, span_of_ordering
+from .ordering import build_ordering
 
 DEFAULT_RUN_CAP = 1_000_000
 
@@ -72,58 +77,74 @@ def radio_number_formula(n1: int, n2: int, n3: int) -> RnFormulaResult:
     return RnFormulaResult(value=n1 * n2 * n3, case_tag="graceful")
 
 
-# Optimal labeling of K_2 x K_3 x K_3, span 20.  The first six labels are
-# consecutive (the longest run this graph admits); each later group of six
-# starts after a forced jump.
-_LABELING_233: tuple[tuple[Vertex, int], ...] = (
-    ((1, 1, 1), 1),
-    ((2, 2, 2), 2),
-    ((1, 3, 3), 3),
-    ((2, 1, 1), 4),
-    ((1, 2, 2), 5),
-    ((2, 3, 3), 6),
-    ((1, 1, 2), 8),
-    ((2, 2, 3), 9),
-    ((1, 3, 1), 10),
-    ((2, 1, 2), 11),
-    ((1, 2, 3), 12),
-    ((2, 3, 1), 13),
-    ((1, 1, 3), 15),
-    ((2, 2, 1), 16),
-    ((1, 3, 2), 17),
-    ((2, 1, 3), 18),
-    ((1, 2, 1), 19),
-    ((2, 3, 2), 20),
+def formula_sizes(sizes: Sequence[int]) -> tuple[int, int, int]:
+    """The closed form's (n1, n2, n3) for a graph with these factor sizes.
+
+    Factors may come in any order; factors of size 1 do not change the
+    graph and are dropped, and the degenerate 2x2 maps to (2, 2, 1).
+    Raises FormulaDomainError unless the graph is diameter-3 or 2x2.
+    """
+    HammingGraph(tuple(sizes))  # rejects sizes that are no graph
+    nontrivial = tuple(sorted(s for s in sizes if s >= 2))
+    if nontrivial == (2, 2):
+        return (2, 2, 1)
+    if len(nontrivial) != 3:
+        raise FormulaDomainError(
+            f"{'x'.join(map(str, sizes))} is not a diameter-3 Hamming graph "
+            "(need three factors >= 2, or the degenerate 2x2)"
+        )
+    return nontrivial  # type: ignore[return-value]
+
+
+def constructive_ordering(sizes: Sequence[int]) -> list[Vertex]:
+    """Vertex ordering whose tight labeling has the formula's span: the block
+    construction, or the ordering of the exceptional family.
+
+    Vertices are in the caller's coordinates (coordinate i ranges over
+    1..sizes[i]).  Raises FormulaDomainError like formula_sizes.
+    """
+    n1, n2, n3 = formula_sizes(sizes)
+    if (n1, n2) == (2, 2):
+        order = ordering_22n(n3)
+    elif (n1, n2, n3) == (2, 3, 3):
+        order = ordering_233()
+    else:
+        order = build_ordering(n1, n2, n3)
+    # Pad the family's vertices with the size-1 factors, which sort first,
+    # then move every coordinate back to its factor's place in sizes.
+    pad = (1,) * (len(sizes) - len(order[0]))
+    by_size = sorted(range(len(sizes)), key=sizes.__getitem__)
+    back = operator.itemgetter(*(by_size.index(i) for i in range(len(sizes))))
+    return [back(pad + v) for v in order]
+
+
+# Optimal ordering of K_2 x K_3 x K_3.  Its tight labels are 1..6, 8..13 and
+# 15..20: the first six are consecutive (the longest run this graph admits)
+# and each later group of six starts after a forced jump.
+_ORDER_233: tuple[Vertex, ...] = (
+    (1, 1, 1), (2, 2, 2), (1, 3, 3), (2, 1, 1), (1, 2, 2), (2, 3, 3),
+    (1, 1, 2), (2, 2, 3), (1, 3, 1), (2, 1, 2), (1, 2, 3), (2, 3, 1),
+    (1, 1, 3), (2, 2, 1), (1, 3, 2), (2, 1, 3), (1, 2, 1), (2, 3, 2),
 )
 
 
 def labeling_233() -> RadioLabeling:
-    """Explicit radio labeling of K_2 x K_3 x K_3 with span exactly 20."""
-    return dict(_LABELING_233)
+    """Radio labeling of K_2 x K_3 x K_3 with span exactly 20: the tight
+    labeling of ordering_233()."""
+    return span_of_ordering(HammingGraph((2, 3, 3)), _ORDER_233)[0]
 
 
 def ordering_233() -> list[Vertex]:
     """Vertices of the span-20 labeling in label order."""
-    return [v for v, _ in _LABELING_233]
+    return list(_ORDER_233)
 
 
 # Base orderings for K_2 x K_2 x K_n.  n = 1 degenerates to K_2 x K_2 with
-# two-coordinate vertices.  The n = 2 and n = 3 orderings induce the tight
-# labels 1,2,4,5,7,8,10,11(,13,14,16,17); even-n orderings end with
-# (1,1,n),(2,2,n-1) and the n = 3 ordering ends with (1,2,3), which is what
-# the append step below relies on.
+# two-coordinate vertices.  Even n starts from nothing: the first appended
+# block is the n = 2 ordering.  The n = 3 base induces the tight labels
+# 1,2,4,5,...,16,17; even-n orderings end with (1,1,n),(2,2,n-1) and the
+# n = 3 ordering ends with (1,2,3), which is what the append step relies on.
 _ORDER_2X2: tuple[Vertex, ...] = ((1, 1), (2, 2), (2, 1), (1, 2))
-
-_ORDER_2X2X2: tuple[Vertex, ...] = (
-    (1, 1, 1),
-    (2, 2, 2),
-    (2, 1, 1),
-    (1, 2, 2),
-    (2, 1, 2),
-    (1, 2, 1),
-    (1, 1, 2),
-    (2, 2, 1),
-)
 
 _ORDER_2X2X3: tuple[Vertex, ...] = (
     (1, 1, 1),
@@ -162,15 +183,16 @@ def ordering_22n(n: int) -> list[Vertex]:
     """Vertex ordering of K_2 x K_2 x K_n whose tight labeling has span 6n-1.
 
     For n = 1 the graph degenerates to K_2 x K_2 and the vertices are
-    two-coordinate.  For n >= 4 the ordering grows from the n = 2 or n = 3
-    base by appending one eight-vertex block per two new K_n values.
+    two-coordinate.  Otherwise the ordering grows from nothing (even n) or
+    the n = 3 base (odd n) by appending one eight-vertex block per two new
+    K_n values.
     """
     if n < 1:
         raise FormulaDomainError(f"need n >= 1, got {n}")
     if n == 1:
         return list(_ORDER_2X2)
-    order = list(_ORDER_2X2X2 if n % 2 == 0 else _ORDER_2X2X3)
-    for n_prev in range(2 if n % 2 == 0 else 3, n, 2):
+    order = list(_ORDER_2X2X3) if n % 2 else []
+    for n_prev in range(3 if n % 2 else 0, n, 2):
         order.extend(_append_block(n_prev))
     return order
 
@@ -178,17 +200,12 @@ def ordering_22n(n: int) -> list[Vertex]:
 def labeling_22n(n: int) -> RadioLabeling:
     """Radio labeling of K_2 x K_2 x K_n with span exactly 6n - 1.
 
-    Position i of the ordering gets the i-th positive integer not divisible
-    by 3 (1, 2, 4, 5, 7, 8, ...); position 4n then carries 6n - 1.
+    The tight labeling of ordering_22n(n): position i gets the i-th positive
+    integer not divisible by 3 (1, 2, 4, 5, 7, 8, ...), so position 4n
+    carries 6n - 1.
     """
     order = ordering_22n(n)
-    labels = []
-    value = 0
-    while len(labels) < len(order):
-        value += 1
-        if value % 3 != 0:
-            labels.append(value)
-    return dict(zip(order, labels))
+    return span_of_ordering(HammingGraph((2, 2) if n == 1 else (2, 2, n)), order)[0]
 
 
 def max_consecutive_run(g: HammingGraph, cap: int = DEFAULT_RUN_CAP) -> int:
@@ -214,7 +231,6 @@ def max_consecutive_run(g: HammingGraph, cap: int = DEFAULT_RUN_CAP) -> int:
         # No window constraints: any order of all vertices qualifies.
         return g.vertex_count
     verts = g.vertices()
-    window = diam - 1
     start: Vertex = tuple(1 for _ in g.factor_sizes)
     best = 1
     nodes = 0
@@ -223,20 +239,14 @@ def max_consecutive_run(g: HammingGraph, cap: int = DEFAULT_RUN_CAP) -> int:
         nonlocal best, nodes
         if len(seq) > best:
             best = len(seq)
-        last = seq[-1]
+        # seq carries the labels 1..len(seq); a candidate must get the next one
+        labels = range(1, len(seq) + 1)
         for cand in verts:
             if cand in used:
                 continue
             if any(c > m + 1 for c, m in zip(cand, max_used)):
                 continue
-            if g.distance(last, cand) != diam:
-                continue
-            ok = True
-            for delta in range(2, min(window, len(seq)) + 1):
-                if g.distance(seq[-delta], cand) < diam - delta + 1:
-                    ok = False
-                    break
-            if not ok:
+            if next_label(labels, lambda j: hamming(seq[j], cand), diam) != len(seq) + 1:
                 continue
             nodes += 1
             if nodes > cap:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -29,6 +30,17 @@ class GraphError(ValueError):
     """Invalid graph description, or a vertex outside the graph."""
 
 
+def _is_int(x) -> bool:
+    # bool is an int subclass, but True is no factor size, coordinate or label
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def hamming(a: Vertex, b: Vertex) -> int:
+    """Number of coordinates in which a and b differ, for vertices already
+    checked to belong to one graph (HammingGraph.distance checks them)."""
+    return sum(map(operator.ne, a, b))
+
+
 @dataclass(frozen=True)
 class HammingGraph:
     """Product of complete graphs K_{n1} x K_{n2} x ... x K_{nd}."""
@@ -40,7 +52,7 @@ class HammingGraph:
         object.__setattr__(self, "factor_sizes", sizes)
         if not sizes:
             raise GraphError("a Hamming graph needs at least one factor")
-        if any(not isinstance(s, int) or s < 1 for s in sizes):
+        if any(not _is_int(s) or s < 1 for s in sizes):
             raise GraphError(f"factor sizes must be integers >= 1, got {sizes!r}")
 
     def __str__(self) -> str:
@@ -63,7 +75,7 @@ class HammingGraph:
                 f"(expected {len(self.factor_sizes)} coordinates)"
             )
         for coord, size in zip(v, self.factor_sizes):
-            if not isinstance(coord, int) or not 1 <= coord <= size:
+            if not _is_int(coord) or not 1 <= coord <= size:
                 raise GraphError(
                     f"coordinate {coord!r} of vertex {v!r} outside 1..{size}"
                 )
@@ -79,7 +91,7 @@ class HammingGraph:
         """Number of coordinates in which a and b differ."""
         self.check_vertex(a)
         self.check_vertex(b)
-        return sum(1 for x, y in zip(a, b) if x != y)
+        return hamming(a, b)
 
     def vertices(self) -> list[Vertex]:
         """All vertices in lexicographic order."""
@@ -96,10 +108,6 @@ def parse_graph(text: str) -> HammingGraph:
     if not parts or any(not p.isdigit() for p in parts):
         raise GraphError(f"malformed graph spec {text!r}, expected e.g. '2x3x3'")
     return HammingGraph(tuple(int(p) for p in parts))
-
-
-def format_graph(g: HammingGraph) -> str:
-    return str(g)
 
 
 def parse_vertex(text: str) -> Vertex:

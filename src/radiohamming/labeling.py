@@ -9,18 +9,18 @@ which holds exactly when d(x_i, x_{i+D}) >= diam(G) - D + 1 for every
 window width D < diam(G).
 
 Only pairs whose labels differ by less than diam(G) can violate the radio
-condition, so validation scans a sliding window over the label-sorted
-vertices; this keeps it linear-ish for the orderings produced here while
-remaining correct for any diameter.
+condition, so validation scans the label-sorted vertices and stops looking
+past each one at the first label diam(G) or more above it; with distinct
+labels that is O(N * diam) after the sort.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Sequence, TextIO, Union
+from typing import Callable, Sequence, TextIO, Union
 
-from .graphs import GraphError, HammingGraph, Vertex, format_vertex, parse_vertex
+from .graphs import GraphError, HammingGraph, Vertex, format_vertex, hamming, parse_vertex
 
 RadioLabeling = dict[Vertex, int]
 Ordering = Sequence[Vertex]
@@ -80,7 +80,7 @@ def validate(g: HammingGraph, labeling: RadioLabeling) -> ValidationReport:
         raise LabelingError("labeling must map vertices to labels")
     for v, label in labeling.items():
         g.check_vertex(v)
-        if not isinstance(label, int) or label < 1:
+        if isinstance(label, bool) or not isinstance(label, int) or label < 1:
             raise LabelingError(f"label {label!r} for vertex {v} is not a positive integer")
     if len(labeling) != g.vertex_count:
         raise LabelingError(
@@ -91,11 +91,12 @@ def validate(g: HammingGraph, labeling: RadioLabeling) -> ValidationReport:
     items = sorted(labeling.items(), key=lambda kv: (kv[1], kv[0]))
     violations: list[Violation] = []
     for i, (u, fu) in enumerate(items):
-        for v, fv in items[i + 1 :]:
+        for j in range(i + 1, len(items)):
+            v, fv = items[j]
             gap = fv - fu
             if gap >= diam:
                 break  # every later pair has an even larger gap
-            required = diam + 1 - g.distance(u, v)
+            required = diam + 1 - hamming(u, v)
             if gap < required:
                 violations.append(Violation(u, v, required, gap))
     span = max(labeling.values())
@@ -131,10 +132,32 @@ def check_graceful(g: HammingGraph, ordering: Ordering) -> GracefulReport:
             if j >= len(ordering):
                 break
             v = ordering[j]
-            required = diam + 1 - g.distance(u, v)
+            required = diam + 1 - hamming(u, v)
             if delta < required:
                 violations.append(Violation(u, v, required, delta))
     return GracefulReport(graceful=not violations, violations=violations)
+
+
+def next_label(labels: Sequence[int], dist_back: Callable[[int], int], diam: int) -> int:
+    """Smallest label above labels[-1] that meets the radio condition.
+
+    labels are those of the vertices placed so far, in increasing order, and
+    dist_back(j) is the distance from the new vertex to the one labeled
+    labels[j].  Scans back from the last label and stops at the first one
+    at least diam below the candidate: that gap and every earlier one
+    already satisfy the condition.  With nothing placed the label is 1.
+    """
+    if not labels:
+        return 1
+    label = labels[-1] + 1
+    for j in range(len(labels) - 1, -1, -1):
+        prev = labels[j]
+        if prev <= label - diam:
+            break
+        need = prev + diam + 1 - dist_back(j)
+        if need > label:
+            label = need
+    return label
 
 
 def span_of_ordering(g: HammingGraph, ordering: Ordering) -> tuple[RadioLabeling, int]:
@@ -142,30 +165,17 @@ def span_of_ordering(g: HammingGraph, ordering: Ordering) -> tuple[RadioLabeling
 
     Assigns f(x_1) = 1 and then gives each vertex the smallest label above
     its predecessor's that satisfies the radio condition against all earlier
-    vertices.  No labeling that is monotone in this order can have a smaller
-    span: lowering any label breaks a constraint with an earlier vertex.
-    Returns (labeling, span).
+    vertices (next_label).  No labeling that is monotone in this order can
+    have a smaller span: lowering any label breaks a constraint with an
+    earlier vertex.  Returns (labeling, span).
     """
     if not verify_bijection(g, ordering):
         raise LabelingError(f"ordering is not a bijection onto the vertices of {g}")
     diam = g.diameter
-    labeling: RadioLabeling = {}
     labels: list[int] = []
-    for idx, v in enumerate(ordering):
-        if idx == 0:
-            label = 1
-        else:
-            label = labels[-1] + 1
-            for j in range(idx - 1, -1, -1):
-                prev = labels[j]
-                if prev <= label - diam:
-                    break  # earlier labels are smaller still; gap already >= diam
-                need = prev + diam + 1 - g.distance(ordering[j], v)
-                if need > label:
-                    label = need
-        labels.append(label)
-        labeling[v] = label
-    return labeling, labels[-1] if labels else 0
+    for v in ordering:
+        labels.append(next_label(labels, lambda j: hamming(ordering[j], v), diam))
+    return dict(zip(ordering, labels)), labels[-1] if labels else 0
 
 
 def read_labeling_csv(source: Union[str, TextIO]) -> RadioLabeling:

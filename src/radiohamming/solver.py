@@ -30,10 +30,10 @@ import random
 import time
 from dataclasses import dataclass
 
-from .exceptional import RunSearchBudgetError, max_consecutive_run
-from .graphs import HammingGraph, Vertex
-from .labeling import RadioLabeling, span_of_ordering, validate
-from .ordering import build_ordering
+from .exceptional import FormulaDomainError, RunSearchBudgetError
+from .exceptional import constructive_ordering, max_consecutive_run
+from .graphs import HammingGraph, hamming
+from .labeling import RadioLabeling, next_label, span_of_ordering, validate
 
 _RUN_SEARCH_CAP = 200_000
 _HEURISTIC_TRIES = 64
@@ -82,41 +82,13 @@ def minimal_remaining_increment(remaining: int, run_length: int) -> int:
     return (remaining - 1) + (math.ceil(remaining / run_length) - 1)
 
 
-def _embedding(g: HammingGraph):
-    """Sorted nontrivial factor sizes of g, plus a map back into g's
-    coordinates (trivial factors pinned at 1)."""
-    tagged = sorted((s, i) for i, s in enumerate(g.factor_sizes) if s >= 2)
-    sizes = tuple(s for s, _ in tagged)
-    positions = [i for _, i in tagged]
-
-    def embed(v: Vertex) -> Vertex:
-        full = [1] * len(g.factor_sizes)
-        for coord, pos in zip(v, positions):
-            full[pos] = coord
-        return tuple(full)
-
-    return sizes, embed
-
-
 def _initial_incumbent(g: HammingGraph) -> tuple[RadioLabeling, int]:
     """A valid labeling to start from: constructive for the diameter-3
     families, best-of-a-few random greedy orderings otherwise."""
-    from .exceptional import ordering_22n, ordering_233
-
-    sizes, embed = _embedding(g)
-    order = None
-    if len(sizes) == 3:
-        a, b, c = sizes
-        if (a, b) == (2, 2):
-            order = [embed(v) for v in ordering_22n(c)]
-        elif (a, b, c) == (2, 3, 3):
-            order = [embed(v) for v in ordering_233()]
-        else:
-            order = [embed(v) for v in build_ordering(a, b, c)]
-    elif sizes == (2, 2):
-        order = [embed(v) for v in ordering_22n(1)]
-    if order is not None:
-        return span_of_ordering(g, order)
+    try:
+        return span_of_ordering(g, constructive_ordering(g.factor_sizes))
+    except FormulaDomainError:
+        pass
 
     rng = random.Random(1729)
     verts = g.vertices()
@@ -173,7 +145,7 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
     except RunSearchBudgetError:
         run_length = n  # weakest sound choice: no forced jumps assumed
 
-    dist = [[g.distance(a, b) for b in verts] for a in verts]
+    dist = [[hamming(a, b) for b in verts] for a in verts]
     factor_count = len(g.factor_sizes)
 
     placed: list[int] = []  # vertex indices in label order
@@ -200,7 +172,6 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
         """Extend the current prefix; returns False once budgets ran out."""
         nonlocal nodes, best_lab, bound
         depth = len(placed)
-        prev_label = labels[-1] if labels else 0
         for ci in range(n):
             if used[ci]:
                 continue
@@ -213,14 +184,7 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
             if out_of_budget():
                 return False
             drow = dist[ci]
-            label = prev_label + 1
-            for j in range(depth - 1, -1, -1):
-                fj = labels[j]
-                if fj <= label - diam:
-                    break
-                need = fj + diam + 1 - drow[placed[j]]
-                if need > label:
-                    label = need
+            label = next_label(labels, lambda j: drow[placed[j]], diam)
             if label + minimal_remaining_increment(n - depth, run_length) >= bound:
                 continue
             if depth + 1 == n:

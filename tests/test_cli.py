@@ -170,6 +170,13 @@ class TestRn:
         code, _, err = run_cli(["rn", "3x3"], capsys)
         assert code == 2
 
+    def test_size_one_factors_are_dropped(self, capsys):
+        code, out, _ = run_cli(["rn", "1x2x3x3"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["normalized"] == "2x3x3"
+        assert payload["rn"] == 20
+
     def test_certify_budget_exhaustion_exits_3(self, capsys, monkeypatch):
         # every in-domain instance certifies at the root, so exhaustion is
         # simulated to pin down the exit code contract
@@ -236,6 +243,11 @@ class TestLabel:
         assert code == 0
         labeling = read_labeling_csv(io.StringIO(out))
         assert labeling == labeling_233()
+
+    def test_label_unsorted_233_is_golden_csv(self, capsys):
+        code, out, _ = run_cli(["label", "3x2x3"], capsys)
+        assert code == 0
+        assert out.encode() == GOLDEN_LABELING.read_bytes()
 
     def test_label_22n(self, capsys):
         code, out, _ = run_cli(["label", "2x2x6", "--certify"], capsys)

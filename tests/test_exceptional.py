@@ -4,6 +4,8 @@ from radiohamming import (
     FormulaDomainError,
     HammingGraph,
     RunSearchBudgetError,
+    constructive_ordering,
+    formula_sizes,
     jump_lower_bound,
     labeling_22n,
     labeling_233,
@@ -13,6 +15,7 @@ from radiohamming import (
     radio_number_formula,
     span_of_ordering,
     validate,
+    verify_bijection,
 )
 
 import oracles
@@ -57,6 +60,26 @@ class TestFormula:
             radio_number_formula(1, 3, 3)
         with pytest.raises(FormulaDomainError):
             radio_number_formula(2, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "sizes,rn",
+    [((2, 2), 5), ((2, 1, 2), 5), ((1, 2, 2), 5), ((3, 2, 3), 20), ((6, 2, 2), 35),
+     ((4, 5, 6), 120), ((1, 3, 2, 3), 20), ((3, 3), None), ((2, 2, 2, 2), None),
+     ((1, 3), None)],
+)
+def test_constructive_ordering_meets_the_formula(sizes, rn):
+    if rn is None:
+        with pytest.raises(FormulaDomainError):
+            formula_sizes(sizes)
+        with pytest.raises(FormulaDomainError):
+            constructive_ordering(sizes)
+        return
+    g = HammingGraph(sizes)
+    order = constructive_ordering(sizes)
+    assert verify_bijection(g, order)
+    assert radio_number_formula(*formula_sizes(sizes)).value == rn
+    assert span_of_ordering(g, order)[1] == rn
 
 
 class TestLabeling233:
@@ -130,7 +153,7 @@ class TestLabeling22n:
         else:
             assert order[-2:] == [(1, 1, n), (2, 2, n - 1)]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 11])
+    @pytest.mark.parametrize("n", range(1, 51))
     def test_greedy_reproduces_the_tight_labels(self, n):
         g = graph_22n(n)
         order = ordering_22n(n)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from radiohamming import (
     GraphError,
     HammingGraph,
-    format_graph,
     format_vertex,
     parse_graph,
     parse_vertex,
@@ -58,6 +57,15 @@ def test_invalid_graphs():
         HammingGraph((2, 0))
     with pytest.raises(GraphError):
         HammingGraph((-1,))
+    with pytest.raises(GraphError):
+        HammingGraph((True, 2))
+
+
+def test_bool_coordinate_is_not_a_vertex():
+    g = HammingGraph((2, 2))
+    assert not g.is_vertex((True, 2))
+    with pytest.raises(GraphError):
+        g.distance((True, 2), (1, 1))
 
 
 def test_vertices_refuses_huge_materialization():
@@ -87,7 +95,7 @@ def test_triangle_inequality_and_diameter_exhaustive(sizes):
 @given(sizes_strategy)
 def test_graph_spec_roundtrip(sizes):
     g = HammingGraph(sizes)
-    assert parse_graph(format_graph(g)) == g
+    assert parse_graph(str(g)) == g
 
 
 @given(sizes_strategy, st.data())

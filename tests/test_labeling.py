@@ -63,6 +63,8 @@ def test_validate_rejects_partial_and_nonpositive():
         validate(g, {(1, 1): 1})
     with pytest.raises(LabelingError):
         validate(g, {(1, 1): 0, (1, 2): 2, (2, 1): 3, (2, 2): 4})
+    with pytest.raises(LabelingError):
+        validate(HammingGraph((2,)), {(1,): True, (2,): 3})
 
 
 def test_validate_duplicate_labels_are_violations_not_errors():
