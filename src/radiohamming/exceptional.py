@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +31,7 @@ from .labeling import RadioLabeling, next_label, span_of_ordering
 from .ordering import build_ordering
 
 DEFAULT_RUN_CAP = 1_000_000
+_DEADLINE_CHECK_INTERVAL = 256  # run-search nodes between clock reads
 
 
 class FormulaDomainError(ValueError):
@@ -37,18 +39,18 @@ class FormulaDomainError(ValueError):
 
 
 class RunSearchBudgetError(RuntimeError):
-    """Run-length search exceeded its node cap.
+    """Run-length search exceeded its node cap or passed its deadline.
 
     best_found is the longest run seen before giving up, a valid lower
     bound on the true maximum run length.
     """
 
-    def __init__(self, best_found: int, cap: int):
-        super().__init__(
-            f"run search exceeded {cap} nodes; best run found so far: {best_found}"
-        )
+    def __init__(self, best_found: int, cap: int, timed_out: bool = False):
+        limit = "passed its deadline" if timed_out else f"exceeded {cap} nodes"
+        super().__init__(f"run search {limit}; best run found so far: {best_found}")
         self.best_found = best_found
         self.cap = cap
+        self.timed_out = timed_out
 
 
 @dataclass(frozen=True)
@@ -208,57 +210,77 @@ def labeling_22n(n: int) -> RadioLabeling:
     return span_of_ordering(HammingGraph((2, 2) if n == 1 else (2, 2, n)), order)[0]
 
 
-def max_consecutive_run(g: HammingGraph, cap: int = DEFAULT_RUN_CAP) -> int:
+def max_consecutive_run(
+    g: HammingGraph, cap: int = DEFAULT_RUN_CAP, *, deadline: float | None = None
+) -> int:
     """Longest sequence of distinct vertices that could carry consecutive
     labels in some radio labeling of g.
 
     A sequence y_1, ..., y_r qualifies when d(y_i, y_{i+D}) >= diam - D + 1
     for every window width D < diam; in particular consecutive entries must
     be at distance exactly diam.  Found by depth-first search over
-    extensible sequences.  Hamming graphs are vertex transitive, so the
-    start is fixed at (1, ..., 1), and coordinate values within each factor
-    are interchangeable, so a new value may enter only right after all
-    smaller values of its factor (canonical first use).  Both reductions
-    preserve the maximum length.
+    extensible sequences, kept on an explicit stack so that no run length
+    meets the interpreter's recursion limit, and stopped as soon as a run
+    covers all N vertices, since none can be longer.  Hamming graphs are
+    vertex transitive, so the start is fixed at (1, ..., 1), and coordinate
+    values within each factor are interchangeable, so a new value may enter
+    only right after all smaller values of its factor (canonical first
+    use).  Both reductions preserve the maximum length.
 
     Raises RunSearchBudgetError (carrying the best length found) once more
-    than cap extensions have been tried.
+    than cap extensions have been tried, or once time.perf_counter() has
+    passed deadline.
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
     diam = g.diameter
+    n = g.vertex_count
     if diam <= 1:
         # No window constraints: any order of all vertices qualifies.
-        return g.vertex_count
+        return n
     verts = g.vertices()
     start: Vertex = tuple(1 for _ in g.factor_sizes)
+    seq = [start]  # the run so far; it carries the labels 1..len(seq)
+    used = {start}
+    # canonical first use: limits[d][i] is the largest value factor i may
+    # take after the first d + 1 entries
+    limits = [[2] * len(start)]
+    cursors = [0]  # index into verts of the next candidate after each entry
     best = 1
     nodes = 0
-
-    def extend(seq: list[Vertex], used: set[Vertex], max_used: list[int]) -> None:
-        nonlocal best, nodes
-        if len(seq) > best:
-            best = len(seq)
-        # seq carries the labels 1..len(seq); a candidate must get the next one
+    while cursors:
         labels = range(1, len(seq) + 1)
-        for cand in verts:
+        for ci in range(cursors[-1], n):
+            cand = verts[ci]
             if cand in used:
                 continue
-            if any(c > m + 1 for c, m in zip(cand, max_used)):
+            if any(map(operator.gt, cand, limits[-1])):
                 continue
             if next_label(labels, lambda j: hamming(seq[j], cand), diam) != len(seq) + 1:
                 continue
             nodes += 1
             if nodes > cap:
                 raise RunSearchBudgetError(best, cap)
+            if (
+                deadline is not None
+                and nodes % _DEADLINE_CHECK_INTERVAL == 0
+                and time.perf_counter() > deadline
+            ):
+                raise RunSearchBudgetError(best, cap, timed_out=True)
+            cursors[-1] = ci + 1
             seq.append(cand)
             used.add(cand)
-            new_max = [max(m, c) for m, c in zip(max_used, cand)]
-            extend(seq, used, new_max)
-            used.remove(cand)
-            seq.pop()
-
-    extend([start], {start}, [1] * len(g.factor_sizes))
+            limits.append([c + 1 if c >= m else m for m, c in zip(limits[-1], cand)])
+            cursors.append(0)
+            if len(seq) > best:
+                best = len(seq)
+                if best == n:
+                    return best
+            break
+        else:
+            cursors.pop()
+            used.discard(seq.pop())
+            limits.pop()
     return best
 
 

@@ -9,12 +9,21 @@ orderings with greedy labels instead of over label assignments.  Smaller
 earlier labels only weaken later constraints, so fixing the greedy label at
 every prefix loses nothing.
 
-Pruning combines the incumbent with a run-length bound: labels of the
-remaining S vertices (counting the one just placed) must climb by at least
-S - 1 unit steps plus ceil(S / r) - 1 forced jumps, where r is the longest
-consecutive run the graph admits.  For the exceptional families this bound
-already meets the constructive labeling at the root, so those instances
-certify instantly; for radio graceful graphs the same happens with r = N.
+Root certificate: rn(G) >= N = |V(G)| for every graph, and rn(G) >=
+N + ceil(N / r) - 1 when no r + 1 vertices carry consecutive labels.  The
+solver first compares its incumbent with these bounds and returns it as
+optimal, with no search nodes, whenever it meets them.  An incumbent of
+span N (the constructive labeling of every radio graceful graph) is
+certified before the run-length search is even started; for the
+exceptional families the run length r meets the constructive labeling.
+
+Pruning below the root combines the incumbent with the same run-length
+bound: labels of the remaining S vertices (counting the one just placed)
+must climb by at least S - 1 unit steps plus ceil(S / r) - 1 forced jumps.
+The run-length search shares the solve deadline; when it passes that or
+its node cap, r = N is used, which assumes no forced jumps.  The search is
+depth first on an explicit stack, so its depth is not limited by the
+interpreter's recursion limit.
 
 Symmetry reduction exploits that Hamming graphs are vertex transitive and
 that coordinate values within a factor are interchangeable: the first
@@ -26,12 +35,13 @@ preserve the optimum.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
 
 from .exceptional import FormulaDomainError, RunSearchBudgetError
-from .exceptional import constructive_ordering, max_consecutive_run
+from .exceptional import constructive_ordering, jump_lower_bound, max_consecutive_run
 from .graphs import HammingGraph, hamming
 from .labeling import RadioLabeling, next_label, span_of_ordering, validate
 
@@ -140,78 +150,72 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
         if best_span > bound:
             best_lab = None  # no witness below the user's bound yet
 
-    try:
-        run_length = max_consecutive_run(g, cap=_RUN_SEARCH_CAP)
-    except RunSearchBudgetError:
-        run_length = n  # weakest sound choice: no forced jumps assumed
-
-    dist = [[hamming(a, b) for b in verts] for a in verts]
-    factor_count = len(g.factor_sizes)
-
-    placed: list[int] = []  # vertex indices in label order
-    labels: list[int] = []
-    used = [False] * n
-    # Canonical first use: a coordinate value is allowed only once all
-    # smaller values of its factor appeared, so the first vertex is all ones.
-    max_used = [0] * factor_count
+    # Root certificate: rn >= N always, and rn >= N + ceil(N / r) - 1 when no
+    # run of r + 1 consecutive labels exists.  An incumbent that meets this
+    # bound is optimal without search; one of span N needs no run search.
+    deadline = started + cfg.time_budget
+    run_length = n
+    if bound > n:
+        try:
+            run_length = max_consecutive_run(g, cap=_RUN_SEARCH_CAP, deadline=deadline)
+        except RunSearchBudgetError:
+            pass  # weakest sound choice: no forced jumps assumed
     nodes = 0
     exhausted = True
-    deadline = started + cfg.time_budget
-
-    def out_of_budget() -> bool:
-        nonlocal exhausted
-        if nodes > cfg.node_budget:
-            exhausted = False
-            return True
-        if nodes % _TIME_CHECK_INTERVAL == 0 and time.perf_counter() > deadline:
-            exhausted = False
-            return True
-        return False
-
-    def descend() -> bool:
-        """Extend the current prefix; returns False once budgets ran out."""
-        nonlocal nodes, best_lab, bound
-        depth = len(placed)
-        for ci in range(n):
-            if used[ci]:
-                continue
-            cand = verts[ci]
-            if cfg.symmetry_reduction and any(
-                c > m + 1 for c, m in zip(cand, max_used)
-            ):
-                continue
-            nodes += 1
-            if out_of_budget():
-                return False
-            drow = dist[ci]
-            label = next_label(labels, lambda j: drow[placed[j]], diam)
-            if label + minimal_remaining_increment(n - depth, run_length) >= bound:
-                continue
-            if depth + 1 == n:
-                bound = label
-                best_lab = {verts[i]: f for i, f in zip(placed, labels)}
-                best_lab[cand] = label
-                continue
-            placed.append(ci)
-            labels.append(label)
-            used[ci] = True
-            saved = None
-            if cfg.symmetry_reduction:
-                saved = max_used.copy()
-                for i, c in enumerate(cand):
-                    if c > max_used[i]:
-                        max_used[i] = c
-            ok = descend()
-            used[ci] = False
-            placed.pop()
-            labels.pop()
-            if saved is not None:
-                max_used[:] = saved
-            if not ok:
-                return False
-        return True
-
-    descend()
+    if bound > jump_lower_bound(n, run_length):
+        dist = [[hamming(a, b) for b in verts] for a in verts]
+        # increments[d]: least climb from a label placed at depth d to the end
+        increments = [minimal_remaining_increment(n - d, run_length) for d in range(n)]
+        placed: list[int] = []  # vertex indices in label order
+        labels: list[int] = []
+        used = [False] * n
+        # Canonical first use: a coordinate value is allowed only once all
+        # smaller values of its factor appeared, so the first vertex is all
+        # ones.  limits[d][i] is the largest value factor i may take at
+        # depth d.
+        limits = [[1] * len(g.factor_sizes)]
+        symmetry = cfg.symmetry_reduction
+        # Depth-first search on an explicit stack: cursors[d] is the index
+        # of the next candidate to try at depth d.
+        cursors = [0]
+        while cursors and exhausted:
+            depth = len(placed)
+            limit = limits[-1]
+            increment = increments[depth]
+            for ci in range(cursors[-1], n):
+                if used[ci]:
+                    continue
+                cand = verts[ci]
+                if symmetry and any(map(operator.gt, cand, limit)):
+                    continue
+                nodes += 1
+                if nodes > cfg.node_budget or (
+                    nodes % _TIME_CHECK_INTERVAL == 0 and time.perf_counter() > deadline
+                ):
+                    exhausted = False
+                    break
+                drow = dist[ci]
+                label = next_label(labels, lambda j: drow[placed[j]], diam)
+                if label + increment >= bound:
+                    continue
+                if depth + 1 == n:
+                    bound = label
+                    best_lab = {verts[i]: f for i, f in zip(placed, labels)}
+                    best_lab[cand] = label
+                    continue
+                cursors[-1] = ci + 1
+                cursors.append(0)
+                placed.append(ci)
+                labels.append(label)
+                used[ci] = True
+                limits.append([c + 1 if c >= m else m for m, c in zip(limit, cand)])
+                break
+            else:
+                cursors.pop()
+                if placed:
+                    used[placed.pop()] = False
+                    labels.pop()
+                    limits.pop()
 
     if best_lab is None:
         raise SolverError(

@@ -236,6 +236,38 @@ class TestSolve:
         payload = json.loads(out)
         assert payload["optimal"] is False
 
+    def test_solve_10x10x11_certifies_at_root(self, tmp_path, capsys):
+        witness = tmp_path / "w.csv"
+        code, out, _ = run_cli(
+            ["solve", "10x10x11", "--time-budget", "5", "--witness-out", str(witness)],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rn"] == 1100
+        assert payload["optimal"] is True
+        code, out, _ = run_cli(["verify", "10x10x11", str(witness)], capsys)
+        assert code == 0
+        assert json.loads(out)["span"] == 1100
+
+    def test_solve_6x6x6x6_stops_at_time_budget(self, tmp_path):
+        # no closed form; the run search alone would take about a minute
+        witness = tmp_path / "w.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "radiohamming", "solve", "6x6x6x6",
+             "--time-budget", "2", "--witness-out", str(witness)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["optimal"] is False
+        report = validate(HammingGraph((6, 6, 6, 6)), read_labeling_csv(str(witness)))
+        assert report.valid
+        assert report.span == payload["rn"]
+
 
 class TestLabel:
     def test_label_233_matches_golden(self, capsys):

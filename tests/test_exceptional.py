@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from radiohamming import (
@@ -182,9 +184,24 @@ class TestMaxConsecutiveRun:
         for sizes in [(2, 2), (2, 3), (2, 2, 2), (2, 2, 3), (3, 3)]:
             assert max_consecutive_run(HammingGraph(sizes)) == oracles.naive_max_run(sizes)
 
+    @pytest.mark.parametrize("sizes", [(3, 3, 3), (4, 4)])
+    def test_stops_at_a_run_through_every_vertex(self, sizes):
+        # the search stops once a run covers all N vertices, far below the
+        # default cap; without that stop these exceed 200k extensions
+        g = HammingGraph(sizes)
+        assert max_consecutive_run(g) == g.vertex_count
+
     def test_budget_error_carries_best_bound(self):
         with pytest.raises(RunSearchBudgetError) as err:
             max_consecutive_run(HammingGraph((3, 3, 3)), cap=10)
+        assert err.value.best_found >= 1
+        assert not err.value.timed_out
+
+    def test_passed_deadline_raises_budget_error(self):
+        # 3x3x5 needs more than 50k extensions, so the clock is read
+        with pytest.raises(RunSearchBudgetError) as err:
+            max_consecutive_run(HammingGraph((3, 3, 5)), deadline=time.perf_counter())
+        assert err.value.timed_out
         assert err.value.best_found >= 1
 
     def test_rejects_bad_cap(self):

@@ -1,5 +1,10 @@
+import inspect
+import sys
+import time
+
 import pytest
 
+import radiohamming.solver as solver_mod
 from radiohamming import (
     HammingGraph,
     SolverConfig,
@@ -88,6 +93,61 @@ class TestSolveAgainstEnumeration:
         result = solve(HammingGraph(sizes))
         assert result.optimal
         assert result.rn == expected
+
+
+class TestRootCertificate:
+    @pytest.mark.parametrize("sizes", [(3, 3, 3), (2, 3, 4), (4, 5, 6), (10, 10, 11)])
+    def test_span_n_incumbent_skips_every_search(self, sizes, monkeypatch):
+        def no_run_search(*args, **kwargs):
+            raise AssertionError("run search called on a span-N incumbent")
+
+        monkeypatch.setattr(solver_mod, "max_consecutive_run", no_run_search)
+        g = HammingGraph(sizes)
+        result = solve(g)
+        assert result.optimal
+        assert result.rn == g.vertex_count
+        assert result.nodes_explored == 0
+
+    @pytest.mark.parametrize("sizes", [(2, 2, 3), (2, 3, 3)])
+    def test_run_length_bound_meets_incumbent(self, sizes):
+        result = solve(HammingGraph(sizes))
+        assert result.optimal
+        assert result.rn == radio_number_formula(*sizes).value
+        assert result.nodes_explored == 0
+
+    def test_run_search_obeys_the_time_budget(self):
+        # K_3^4 has no closed form, and its run search alone runs to the
+        # 200k-extension cap for many seconds
+        g = HammingGraph((3, 3, 3, 3))
+        started = time.perf_counter()
+        result = solve(g, SolverConfig(time_budget=0.5))
+        assert time.perf_counter() - started < 5
+        assert not result.optimal
+        assert validate(g, result.witness).valid
+
+
+@pytest.fixture
+def shallow_recursion():
+    """Allow about 40 frames beyond the caller's: fewer than the searches
+    below would need if they recursed once per vertex."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+class TestNoRecursionPerVertex:
+    def test_branch_and_bound_64_levels_deep(self, shallow_recursion):
+        g = HammingGraph((2,) * 6)
+        result = solve(g, SolverConfig(node_budget=2000))
+        assert result.nodes_explored == 2001
+        assert not result.optimal
+        assert validate(g, result.witness).valid
+
+    def test_run_search_50_levels_deep(self, shallow_recursion):
+        assert max_consecutive_run(HammingGraph((2, 25))) == 50
 
 
 class TestSolverInvariants:
