@@ -235,6 +235,7 @@ def cmd_solve(args) -> int:
         "spec": args.spec,
         "rn": result.rn,
         "optimal": result.optimal,
+        "lower_bound": result.lower_bound,
         "witness_csv": witness_path,
         "nodes_explored": result.nodes_explored,
         "elapsed_seconds": round(result.elapsed, 6),

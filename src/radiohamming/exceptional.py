@@ -13,9 +13,10 @@ graceful, so its radio number is lmn, except for two families:
 For both families this module holds a vertex ordering whose tight labeling
 (span_of_ordering) is optimal, and it is the one place that maps factor
 sizes to their family and that family's ordering (formula_sizes,
-constructive_ordering).  It also holds the run-length search behind the
-"no k consecutive labels" facts, and the jump-counting lower bound that
-turns a run-length cap into a radio-number bound.
+constructive_ordering).  Its search_orderings, the one depth-first search
+over vertex orderings with greedy labels, finds the longest run of
+consecutive labels and runs the solver's branch and bound under two
+per-depth label ceilings; jump_lower_bound turns a run length into a bound.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .graphs import HammingGraph, Vertex, hamming
+from .graphs import HammingGraph, Vertex
 from .labeling import RadioLabeling, next_label, span_of_ordering
 from .ordering import build_ordering
 
 DEFAULT_RUN_CAP = 1_000_000
-_DEADLINE_CHECK_INTERVAL = 256  # run-search nodes between clock reads
+_DEADLINE_CHECK_INTERVAL = 256  # search nodes between clock reads
 
 
 class FormulaDomainError(ValueError):
@@ -210,6 +211,91 @@ def labeling_22n(n: int) -> RadioLabeling:
     return span_of_ordering(HammingGraph((2, 2) if n == 1 else (2, 2, n)), order)[0]
 
 
+def search_orderings(
+    g: HammingGraph,
+    ceiling: list[int],
+    on_leaf: Callable[[list[Vertex], list[int]], bool | None],
+    *,
+    node_budget: int,
+    deadline: float,
+    symmetry: bool = True,
+) -> tuple[int, int, str]:
+    """Depth-first search over vertex orderings of g with greedy labels.
+
+    A vertex placed at depth d gets next_label against the vertices before
+    it and is kept only when that label is below ceiling[d].  Candidates
+    are tried in lexicographic order.  Each complete ordering is passed to
+    on_leaf(order, labels), which may lower ceiling in place; a true return
+    stops the search.  symmetry fixes the first vertex at (1, ..., 1) and
+    lets a coordinate value appear only after all smaller values of its
+    factor, which loses nothing: Hamming graphs are vertex transitive and
+    values within a factor are interchangeable.
+
+    Each candidate that passes the used and symmetry filters is a node.
+    The search stops after node_budget nodes or past deadline (perf_counter
+    time) and returns (nodes, most vertices placed, reason), the reason
+    being "exhausted", "node_budget", "time_budget" or "stopped".
+    """
+    verts = g.vertices()
+    n = len(verts)
+    diam = g.diameter
+    sizes = list(g.factor_sizes)
+    k = len(sizes)
+    # One-hot coordinate masks, made on a vertex's first use: the distance is
+    # the number of coordinates minus the bits two masks share.
+    offsets = [sum(sizes[:i]) - 1 for i in range(k)]
+    masks: list[int | None] = [None] * n
+    placed: list[int] = []  # vertex indices in label order
+    labels: list[int] = []
+    used = [False] * n
+    # a frame per depth: [next candidate index, value limits or None if none bind]
+    stack = [[0, [1] * k if symmetry else None]]
+    nodes = deepest = 0
+    while stack:
+        depth = len(placed)
+        frame = stack[-1]
+        limit = frame[1]
+        for ci in range(frame[0], n):
+            if used[ci]:
+                continue
+            cand = verts[ci]
+            if limit is not None and any(map(operator.gt, cand, limit)):
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                return nodes, deepest, "node_budget"
+            if nodes % _DEADLINE_CHECK_INTERVAL == 0 and time.perf_counter() > deadline:
+                return nodes, deepest, "time_budget"
+            mask = masks[ci]
+            if mask is None:
+                mask = masks[ci] = sum(1 << (o + c) for o, c in zip(offsets, cand))
+            label = next_label(
+                labels, lambda j: k - (mask & masks[placed[j]]).bit_count(), diam
+            )
+            if label >= ceiling[depth]:
+                continue
+            if depth >= deepest:
+                deepest = depth + 1
+            if depth + 1 == n:
+                if on_leaf([verts[i] for i in placed] + [cand], labels + [label]):
+                    return nodes, deepest, "stopped"
+                continue
+            frame[0] = ci + 1
+            placed.append(ci)
+            labels.append(label)
+            used[ci] = True
+            if limit is not None:
+                limit = [c + 1 if c == m < s else m for m, c, s in zip(limit, cand, sizes)]
+            stack.append([0, None if limit == sizes else limit])
+            break
+        else:
+            stack.pop()
+            if placed:
+                used[placed.pop()] = False
+                labels.pop()
+    return nodes, deepest, "exhausted"
+
+
 def max_consecutive_run(
     g: HammingGraph, cap: int = DEFAULT_RUN_CAP, *, deadline: float | None = None
 ) -> int:
@@ -217,71 +303,29 @@ def max_consecutive_run(
     labels in some radio labeling of g.
 
     A sequence y_1, ..., y_r qualifies when d(y_i, y_{i+D}) >= diam - D + 1
-    for every window width D < diam; in particular consecutive entries must
-    be at distance exactly diam.  Found by depth-first search over
-    extensible sequences, kept on an explicit stack so that no run length
-    meets the interpreter's recursion limit, and stopped as soon as a run
-    covers all N vertices, since none can be longer.  Hamming graphs are
-    vertex transitive, so the start is fixed at (1, ..., 1), and coordinate
-    values within each factor are interchangeable, so a new value may enter
-    only right after all smaller values of its factor (canonical first
-    use).  Both reductions preserve the maximum length.
-
-    Raises RunSearchBudgetError (carrying the best length found) once more
-    than cap extensions have been tried, or once time.perf_counter() has
-    passed deadline.
+    for every window width D < diam.  Found by search_orderings with the
+    ceiling d + 2 at depth d, which keeps only the label d + 1; it stops at
+    a run through all N vertices, since none can be longer.  cap bounds the
+    search nodes: every candidate tried, not only the run's extensions.
+    Raises RunSearchBudgetError, carrying the best length found, once more
+    than cap nodes were counted or time.perf_counter() has passed deadline.
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
-    diam = g.diameter
     n = g.vertex_count
-    if diam <= 1:
+    if g.diameter <= 1:
         # No window constraints: any order of all vertices qualifies.
         return n
-    verts = g.vertices()
-    start: Vertex = tuple(1 for _ in g.factor_sizes)
-    seq = [start]  # the run so far; it carries the labels 1..len(seq)
-    used = {start}
-    # canonical first use: limits[d][i] is the largest value factor i may
-    # take after the first d + 1 entries
-    limits = [[2] * len(start)]
-    cursors = [0]  # index into verts of the next candidate after each entry
-    best = 1
-    nodes = 0
-    while cursors:
-        labels = range(1, len(seq) + 1)
-        for ci in range(cursors[-1], n):
-            cand = verts[ci]
-            if cand in used:
-                continue
-            if any(map(operator.gt, cand, limits[-1])):
-                continue
-            if next_label(labels, lambda j: hamming(seq[j], cand), diam) != len(seq) + 1:
-                continue
-            nodes += 1
-            if nodes > cap:
-                raise RunSearchBudgetError(best, cap)
-            if (
-                deadline is not None
-                and nodes % _DEADLINE_CHECK_INTERVAL == 0
-                and time.perf_counter() > deadline
-            ):
-                raise RunSearchBudgetError(best, cap, timed_out=True)
-            cursors[-1] = ci + 1
-            seq.append(cand)
-            used.add(cand)
-            limits.append([c + 1 if c >= m else m for m, c in zip(limits[-1], cand)])
-            cursors.append(0)
-            if len(seq) > best:
-                best = len(seq)
-                if best == n:
-                    return best
-            break
-        else:
-            cursors.pop()
-            used.discard(seq.pop())
-            limits.pop()
-    return best
+    _, deepest, stop = search_orderings(
+        g,
+        [d + 2 for d in range(n)],
+        lambda order, labels: True,
+        node_budget=cap,
+        deadline=math.inf if deadline is None else deadline,
+    )
+    if stop in ("exhausted", "stopped"):
+        return deepest
+    raise RunSearchBudgetError(deepest, cap, timed_out=stop == "time_budget")
 
 
 def jump_lower_bound(vertex_count: int, run_length: int) -> int:

@@ -9,9 +9,9 @@ which holds exactly when d(x_i, x_{i+D}) >= diam(G) - D + 1 for every
 window width D < diam(G).
 
 Only pairs whose labels differ by less than diam(G) can violate the radio
-condition, so validation scans the label-sorted vertices and stops looking
-past each one at the first label diam(G) or more above it; with distinct
-labels that is O(N * diam) after the sort.
+condition, so validation scans the label-sorted vertices for pairs one, two,
+... places apart and stops at the first distance with no gap below diam(G);
+with distinct labels that is O(N * diam) after the sort.
 """
 
 from __future__ import annotations
@@ -87,20 +87,31 @@ def validate(g: HammingGraph, labeling: RadioLabeling) -> ValidationReport:
             f"labeling covers {len(labeling)} of {g.vertex_count} vertices of {g}"
         )
 
-    diam = g.diameter
     items = sorted(labeling.items(), key=lambda kv: (kv[1], kv[0]))
-    violations: list[Violation] = []
-    for i, (u, fu) in enumerate(items):
-        for j in range(i + 1, len(items)):
-            v, fv = items[j]
+    vertices, labels = zip(*items)
+    violations = _window_violations(vertices, labels, g.diameter)
+    return ValidationReport(valid=not violations, span=labels[-1], violations=violations)
+
+
+def _window_violations(
+    vertices: Sequence[Vertex], labels: Sequence[int], diam: int
+) -> list[Violation]:
+    """Violating pairs among vertices sorted by (label, vertex), in the order
+    validate() reports them.  Labels never decrease, so once no pair delta
+    places apart has a gap below diam, no pair further apart has either."""
+    found = []
+    for delta in range(1, len(vertices)):
+        near = False
+        for u, v, fu, fv in zip(vertices, vertices[delta:], labels, labels[delta:]):
             gap = fv - fu
-            if gap >= diam:
-                break  # every later pair has an even larger gap
-            required = diam + 1 - hamming(u, v)
-            if gap < required:
-                violations.append(Violation(u, v, required, gap))
-    span = max(labeling.values())
-    return ValidationReport(valid=not violations, span=span, violations=violations)
+            if gap < diam:
+                near = True
+                required = diam + 1 - hamming(u, v)
+                if gap < required:
+                    found.append((fu, u, fv, v, Violation(u, v, required, gap)))
+        if not near:
+            break
+    return [pair[-1] for pair in sorted(found)]
 
 
 def verify_bijection(g: HammingGraph, ordering: Ordering) -> bool:
@@ -124,17 +135,7 @@ def check_graceful(g: HammingGraph, ordering: Ordering) -> GracefulReport:
     """
     if not verify_bijection(g, ordering):
         raise LabelingError(f"ordering is not a bijection onto the vertices of {g}")
-    diam = g.diameter
-    violations: list[Violation] = []
-    for i, u in enumerate(ordering):
-        for delta in range(1, diam):
-            j = i + delta
-            if j >= len(ordering):
-                break
-            v = ordering[j]
-            required = diam + 1 - hamming(u, v)
-            if delta < required:
-                violations.append(Violation(u, v, required, delta))
+    violations = _window_violations(ordering, range(1, len(ordering) + 1), g.diameter)
     return GracefulReport(graceful=not violations, violations=violations)
 
 

@@ -3,51 +3,38 @@
 Any radio labeling, sorted by label, is a vertex ordering, and relabeling
 that ordering greedily (each vertex gets the smallest label above its
 predecessor's that satisfies the radio condition against all earlier
-vertices) never increases the span.  The minimum over all orderings of the
-greedy span is therefore the radio number, and the search runs over
-orderings with greedy labels instead of over label assignments.  Smaller
-earlier labels only weaken later constraints, so fixing the greedy label at
-every prefix loses nothing.
+vertices) never increases the span: smaller earlier labels only weaken
+later constraints.  So the radio number is the least greedy span over all
+orderings, and the search runs over orderings, not label assignments.
 
-Root certificate: rn(G) >= N = |V(G)| for every graph, and rn(G) >=
-N + ceil(N / r) - 1 when no r + 1 vertices carry consecutive labels.  The
-solver first compares its incumbent with these bounds and returns it as
-optimal, with no search nodes, whenever it meets them.  An incumbent of
-span N (the constructive labeling of every radio graceful graph) is
-certified before the run-length search is even started; for the
-exceptional families the run length r meets the constructive labeling.
+Root certificate: rn(G) >= N = |V(G)|, and rn(G) >= N + ceil(N / r) - 1
+when no r + 1 vertices carry consecutive labels.  An incumbent that meets
+these bounds is returned as optimal with no search nodes; one of span N
+(every radio graceful graph) needs no run-length search.
 
-Pruning below the root combines the incumbent with the same run-length
-bound: labels of the remaining S vertices (counting the one just placed)
-must climb by at least S - 1 unit steps plus ceil(S / r) - 1 forced jumps.
-The run-length search shares the solve deadline; when it passes that or
-its node cap, r = N is used, which assumes no forced jumps.  The search is
-depth first on an explicit stack, so its depth is not limited by the
-interpreter's recursion limit.
-
-Symmetry reduction exploits that Hamming graphs are vertex transitive and
-that coordinate values within a factor are interchangeable: the first
-vertex is (1, ..., 1) and a coordinate value may appear only after all
-smaller values of its factor (canonical first use).  Both reductions
-preserve the optimum.
+Below the root, exceptional.search_orderings (the search that also finds
+r) keeps a vertex placed at depth d only when its label is below
+bound - minimal_remaining_increment(N - d, r), and every complete ordering
+lowers the bound.  The run-length search shares the solve deadline; past
+that or its node cap r = N is used (no forced jumps), and once the
+deadline has passed the branch and bound is not started.  A result that is
+not optimal carries jump_lower_bound(N, r) as its proven lower_bound.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 import time
 from dataclasses import dataclass
 
-from .exceptional import FormulaDomainError, RunSearchBudgetError
-from .exceptional import constructive_ordering, jump_lower_bound, max_consecutive_run
-from .graphs import HammingGraph, hamming
-from .labeling import RadioLabeling, next_label, span_of_ordering, validate
+from .exceptional import FormulaDomainError, RunSearchBudgetError, constructive_ordering
+from .exceptional import jump_lower_bound, max_consecutive_run, search_orderings
+from .graphs import HammingGraph
+from .labeling import RadioLabeling, span_of_ordering, validate
 
 _RUN_SEARCH_CAP = 200_000
 _HEURISTIC_TRIES = 64
-_TIME_CHECK_INTERVAL = 256
 
 
 class SolverError(RuntimeError):
@@ -73,6 +60,7 @@ class SolveResult:
     rn: int
     witness: RadioLabeling
     optimal: bool
+    lower_bound: int  # proven: lower_bound <= rn(g), equal to rn when optimal
     nodes_explored: int
     elapsed: float
 
@@ -124,9 +112,8 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
     cfg = config or SolverConfig()
     started = time.perf_counter()
     n = g.vertex_count
-    diam = g.diameter
 
-    def finish(rn, witness, optimal, nodes):
+    def finish(rn, witness, optimal, lower_bound, nodes):
         report = validate(g, witness)
         if not report.valid or report.span != rn:
             raise SolverError(f"internal error: witness invalid for {g}")
@@ -134,14 +121,14 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
             rn=rn,
             witness=witness,
             optimal=optimal,
+            lower_bound=rn if optimal else lower_bound,
             nodes_explored=nodes,
             elapsed=time.perf_counter() - started,
         )
 
-    verts = g.vertices()
-    if diam <= 1:
+    if g.diameter <= 1:
         # Complete graph (or a single vertex): any injective labeling works.
-        return finish(n, {v: i + 1 for i, v in enumerate(verts)}, True, 0)
+        return finish(n, {v: i + 1 for i, v in enumerate(g.vertices())}, True, n, 0)
 
     best_lab, best_span = _initial_incumbent(g)
     bound = best_span
@@ -160,66 +147,32 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
             run_length = max_consecutive_run(g, cap=_RUN_SEARCH_CAP, deadline=deadline)
         except RunSearchBudgetError:
             pass  # weakest sound choice: no forced jumps assumed
-    nodes = 0
-    exhausted = True
-    if bound > jump_lower_bound(n, run_length):
-        dist = [[hamming(a, b) for b in verts] for a in verts]
-        # increments[d]: least climb from a label placed at depth d to the end
-        increments = [minimal_remaining_increment(n - d, run_length) for d in range(n)]
-        placed: list[int] = []  # vertex indices in label order
-        labels: list[int] = []
-        used = [False] * n
-        # Canonical first use: a coordinate value is allowed only once all
-        # smaller values of its factor appeared, so the first vertex is all
-        # ones.  limits[d][i] is the largest value factor i may take at
-        # depth d.
-        limits = [[1] * len(g.factor_sizes)]
-        symmetry = cfg.symmetry_reduction
-        # Depth-first search on an explicit stack: cursors[d] is the index
-        # of the next candidate to try at depth d.
-        cursors = [0]
-        while cursors and exhausted:
-            depth = len(placed)
-            limit = limits[-1]
-            increment = increments[depth]
-            for ci in range(cursors[-1], n):
-                if used[ci]:
-                    continue
-                cand = verts[ci]
-                if symmetry and any(map(operator.gt, cand, limit)):
-                    continue
-                nodes += 1
-                if nodes > cfg.node_budget or (
-                    nodes % _TIME_CHECK_INTERVAL == 0 and time.perf_counter() > deadline
-                ):
-                    exhausted = False
-                    break
-                drow = dist[ci]
-                label = next_label(labels, lambda j: drow[placed[j]], diam)
-                if label + increment >= bound:
-                    continue
-                if depth + 1 == n:
-                    bound = label
-                    best_lab = {verts[i]: f for i, f in zip(placed, labels)}
-                    best_lab[cand] = label
-                    continue
-                cursors[-1] = ci + 1
-                cursors.append(0)
-                placed.append(ci)
-                labels.append(label)
-                used[ci] = True
-                limits.append([c + 1 if c >= m else m for m, c in zip(limit, cand)])
-                break
-            else:
-                cursors.pop()
-                if placed:
-                    used[placed.pop()] = False
-                    labels.pop()
-                    limits.pop()
+    lower_bound = jump_lower_bound(n, run_length)
+    nodes, stop = 0, "exhausted"
+    if bound > lower_bound and time.perf_counter() > deadline:
+        stop = "time_budget"  # the run search used up the time budget
+    elif bound > lower_bound:
+        # ceiling[d]: the bound less the least climb from depth d to the end
+        ceiling = [bound - minimal_remaining_increment(n - d, run_length) for d in range(n)]
+
+        def on_leaf(order, labels):
+            nonlocal bound, best_lab
+            ceiling[:] = [c - (bound - labels[-1]) for c in ceiling]
+            bound = labels[-1]
+            best_lab = dict(zip(order, labels))
+
+        nodes, _, stop = search_orderings(
+            g,
+            ceiling,
+            on_leaf,
+            node_budget=cfg.node_budget,
+            deadline=deadline,
+            symmetry=cfg.symmetry_reduction,
+        )
 
     if best_lab is None:
         raise SolverError(
             f"no radio labeling of {g} with span below "
             f"{cfg.initial_upper_bound} found; rn({g}) >= {cfg.initial_upper_bound}"
         )
-    return finish(bound, best_lab, exhausted, nodes)
+    return finish(bound, best_lab, stop == "exhausted", lower_bound, nodes)

@@ -184,7 +184,7 @@ class TestRn:
         from radiohamming import SolveResult, labeling_22n
 
         fake = SolveResult(
-            rn=31, witness=labeling_22n(5), optimal=False,
+            rn=31, witness=labeling_22n(5), optimal=False, lower_bound=29,
             nodes_explored=1, elapsed=0.0,
         )
         monkeypatch.setattr(cli_mod, "solve", lambda g, cfg: fake)
@@ -198,7 +198,7 @@ class TestRn:
         from radiohamming import SolveResult, labeling_22n
 
         fake = SolveResult(
-            rn=30, witness=labeling_22n(5), optimal=True,
+            rn=30, witness=labeling_22n(5), optimal=True, lower_bound=30,
             nodes_explored=1, elapsed=0.0,
         )
         monkeypatch.setattr(cli_mod, "solve", lambda g, cfg: fake)
@@ -246,12 +246,13 @@ class TestSolve:
         payload = json.loads(out)
         assert payload["rn"] == 1100
         assert payload["optimal"] is True
+        assert payload["lower_bound"] == 1100
         code, out, _ = run_cli(["verify", "10x10x11", str(witness)], capsys)
         assert code == 0
         assert json.loads(out)["span"] == 1100
 
     def test_solve_6x6x6x6_stops_at_time_budget(self, tmp_path):
-        # no closed form; the run search alone would take about a minute
+        # no closed form, and the searches cannot finish within the budget
         witness = tmp_path / "w.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "radiohamming", "solve", "6x6x6x6",
@@ -264,6 +265,7 @@ class TestSolve:
         assert "Traceback" not in proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["optimal"] is False
+        assert 1296 <= payload["lower_bound"] <= payload["rn"]
         report = validate(HammingGraph((6, 6, 6, 6)), read_labeling_csv(str(witness)))
         assert report.valid
         assert report.span == payload["rn"]

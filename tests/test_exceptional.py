@@ -187,7 +187,7 @@ class TestMaxConsecutiveRun:
     @pytest.mark.parametrize("sizes", [(3, 3, 3), (4, 4)])
     def test_stops_at_a_run_through_every_vertex(self, sizes):
         # the search stops once a run covers all N vertices, far below the
-        # default cap; without that stop these exceed 200k extensions
+        # default cap; without that stop these exceed its 1M nodes
         g = HammingGraph(sizes)
         assert max_consecutive_run(g) == g.vertex_count
 
@@ -198,11 +198,21 @@ class TestMaxConsecutiveRun:
         assert not err.value.timed_out
 
     def test_passed_deadline_raises_budget_error(self):
-        # 3x3x5 needs more than 50k extensions, so the clock is read
+        # 3x3x5 needs far more than the 256 nodes between clock reads
         with pytest.raises(RunSearchBudgetError) as err:
             max_consecutive_run(HammingGraph((3, 3, 5)), deadline=time.perf_counter())
         assert err.value.timed_out
         assert err.value.best_found >= 1
+
+    def test_cap_counts_every_candidate(self):
+        # the cap bounds candidates tried, not runs extended, so a capped
+        # search on K_3^4 ends in well under a second
+        started = time.perf_counter()
+        with pytest.raises(RunSearchBudgetError) as err:
+            max_consecutive_run(HammingGraph((3, 3, 3, 3)), cap=200_000)
+        assert time.perf_counter() - started < 5
+        assert not err.value.timed_out
+        assert 1 <= err.value.best_found < 81
 
     def test_rejects_bad_cap(self):
         with pytest.raises(ValueError):

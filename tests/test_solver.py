@@ -1,9 +1,13 @@
 import inspect
+import operator
 import sys
 import time
+import tracemalloc
 
 import pytest
 
+import radiohamming.exceptional as exceptional_mod
+import radiohamming.labeling as labeling_mod
 import radiohamming.solver as solver_mod
 from radiohamming import (
     HammingGraph,
@@ -65,6 +69,7 @@ class TestSolveExactValues:
         result = solve(HammingGraph(sizes))
         assert result.optimal
         assert result.rn == expected
+        assert result.lower_bound == expected
         report = validate(HammingGraph(sizes), result.witness)
         assert report.valid
         assert report.span == expected
@@ -116,14 +121,44 @@ class TestRootCertificate:
         assert result.nodes_explored == 0
 
     def test_run_search_obeys_the_time_budget(self):
-        # K_3^4 has no closed form, and its run search alone runs to the
-        # 200k-extension cap for many seconds
+        # K_3^4 has no closed form; its run search runs to the 200k-node cap
+        # and the branch and bound cannot finish, so the budget binds
         g = HammingGraph((3, 3, 3, 3))
         started = time.perf_counter()
         result = solve(g, SolverConfig(time_budget=0.5))
         assert time.perf_counter() - started < 5
         assert not result.optimal
         assert validate(g, result.witness).valid
+
+    def test_spent_time_budget_builds_no_distance_matrix(self, monkeypatch):
+        # K_6^4 has no closed form and the searches run until the budget is
+        # spent; an N x N distance matrix would take N^2 distances and 8 N^2
+        # bytes
+        calls = 0
+
+        def counting_hamming(a, b):
+            nonlocal calls
+            calls += 1
+            return sum(map(operator.ne, a, b))
+
+        for mod in (labeling_mod, exceptional_mod, solver_mod):
+            if hasattr(mod, "hamming"):
+                monkeypatch.setattr(mod, "hamming", counting_hamming)
+        g = HammingGraph((6, 6, 6, 6))
+        n = g.vertex_count
+        tracemalloc.start()
+        try:
+            result = solve(g, SolverConfig(time_budget=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls < n * n // 4
+        assert peak < n * n  # bytes; a matrix of N^2 entries takes 8 N^2
+        assert not result.optimal
+        assert n <= result.lower_bound <= result.rn
+        report = validate(g, result.witness)
+        assert report.valid
+        assert report.span == result.rn
 
 
 @pytest.fixture
@@ -181,6 +216,7 @@ class TestSolverInvariants:
         report = validate(g, result.witness)
         assert report.valid
         assert report.span == result.rn
+        assert g.vertex_count <= result.lower_bound <= result.rn
 
     def test_loose_user_bound_keeps_answer(self):
         result = solve(HammingGraph((3, 3)), SolverConfig(initial_upper_bound=40))
