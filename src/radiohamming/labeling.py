@@ -11,14 +11,25 @@ window width D < diam(G).
 Only pairs whose labels differ by less than diam(G) can violate the radio
 condition, so validation scans the label-sorted vertices for pairs one, two,
 ... places apart and stops at the first distance with no gap below diam(G);
-with distinct labels that is O(N * diam) after the sort.
+with distinct labels that is O(N * diam) after the sort.  The per-vertex
+and per-pair work runs in C-level streams (map, zip, itemgetter, islice)
+column by column: a bulk vertex check, and one window scan that adds the
+label gap to per-column coordinate mismatches and builds Violation objects
+only for the pairs it flags.
+
+span_of_ordering first runs the window scan on the consecutive labels and,
+when no pair fails, returns them without the greedy loop.  This is exact:
+by induction, the greedy gives position i the label i for every i iff the
+consecutive labeling is a radio labeling.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Sequence, TextIO, Union
+from itertools import chain, compress, count, islice, repeat
+from operator import add, itemgetter, le, lt, ne, sub
+from typing import Callable, Collection, Iterable, Iterator, Sequence, TextIO, Union
 
 from .graphs import GraphError, HammingGraph, Vertex, format_vertex, hamming, parse_vertex
 
@@ -78,52 +89,86 @@ def validate(g: HammingGraph, labeling: RadioLabeling) -> ValidationReport:
     """
     if not isinstance(labeling, dict):
         raise LabelingError("labeling must map vertices to labels")
-    for v, label in labeling.items():
-        g.check_vertex(v)
-        if isinstance(label, bool) or not isinstance(label, int) or label < 1:
-            raise LabelingError(f"label {label!r} for vertex {v} is not a positive integer")
+    labels = labeling.values()
+    if not (_are_vertices(g, labeling) and _are_ints(labels) and min(labels, default=1) >= 1):
+        # find the first bad item, in dict order, to name it in the error
+        for v, label in labeling.items():
+            g.check_vertex(v)
+            if isinstance(label, bool) or not isinstance(label, int) or label < 1:
+                raise LabelingError(f"label {label!r} for vertex {v} is not a positive integer")
     if len(labeling) != g.vertex_count:
         raise LabelingError(
             f"labeling covers {len(labeling)} of {g.vertex_count} vertices of {g}"
         )
 
-    items = sorted(labeling.items(), key=lambda kv: (kv[1], kv[0]))
-    vertices, labels = zip(*items)
-    violations = _window_violations(vertices, labels, g.diameter)
+    labels, vertices = zip(*sorted(zip(labeling.values(), labeling)))
+    violations = _violations(vertices, labels, g.diameter)
     return ValidationReport(valid=not violations, span=labels[-1], violations=violations)
+
+
+def _are_ints(values: Iterable) -> bool:
+    """True iff every value is an int and none is a bool (as graphs._is_int)."""
+    return all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, values)))
+
+
+def _are_vertices(g: HammingGraph, items: Collection[Vertex]) -> bool:
+    """True iff every item is a vertex of g: g.is_vertex, column by column."""
+    sizes = g.factor_sizes
+    if not (
+        all(map(isinstance, items, repeat(tuple)))
+        and set(map(len, items)) <= {len(sizes)}
+        and _are_ints(chain.from_iterable(items))
+    ):
+        return False
+    for c, size in enumerate(sizes):
+        values = set(map(itemgetter(c), items))
+        if min(values, default=1) < 1 or max(values, default=1) > size:
+            return False
+    return True
 
 
 def _window_violations(
     vertices: Sequence[Vertex], labels: Sequence[int], diam: int
-) -> list[Violation]:
-    """Violating pairs among vertices sorted by (label, vertex), in the order
-    validate() reports them.  Labels never decrease, so once no pair delta
-    places apart has a gap below diam, no pair further apart has either."""
-    found = []
+) -> Iterator[tuple[int, int]]:
+    """Positions i < j of the violating pairs among vertices sorted by
+    (label, vertex), one offset j - i at a time.
+
+    A pair violates iff its label gap plus its distance is at most diam;
+    the distance is summed over lazy per-column mismatch streams.  Distinct
+    vertices are at distance >= 1, so only gaps below diam can violate, and
+    labels never decrease, so once no pair at some offset has a gap below
+    diam, no pair further apart has either.
+    """
     for delta in range(1, len(vertices)):
-        near = False
-        for u, v, fu, fv in zip(vertices, vertices[delta:], labels, labels[delta:]):
-            gap = fv - fu
-            if gap < diam:
-                near = True
-                required = diam + 1 - hamming(u, v)
-                if gap < required:
-                    found.append((fu, u, fv, v, Violation(u, v, required, gap)))
-        if not near:
-            break
-    return [pair[-1] for pair in sorted(found)]
+        if not any(map(lt, map(sub, islice(labels, delta, None), labels), repeat(diam))):
+            return
+        total = map(sub, islice(labels, delta, None), labels)
+        for c in range(len(vertices[0])):
+            column = itemgetter(c)
+            differs = map(ne, map(column, islice(vertices, delta, None)), map(column, vertices))
+            total = map(add, total, differs)
+        for i in compress(count(), map(le, total, repeat(diam))):
+            yield i, i + delta
+
+
+def _violations(vertices: Sequence[Vertex], labels: Sequence[int], diam: int) -> list[Violation]:
+    """The violating pairs in report order.  Position order is
+    (smaller label, vertex, larger label, vertex) order, because the
+    vertices are sorted by (label, vertex)."""
+    found = []
+    for i, j in sorted(_window_violations(vertices, labels, diam)):
+        u, v = vertices[i], vertices[j]
+        found.append(Violation(u, v, diam + 1 - hamming(u, v), labels[j] - labels[i]))
+    return found
 
 
 def verify_bijection(g: HammingGraph, ordering: Ordering) -> bool:
     """True iff ordering lists every vertex of g exactly once."""
-    if len(ordering) != g.vertex_count:
-        return False
-    seen = set()
-    for v in ordering:
-        if not g.is_vertex(v) or v in seen:
-            return False
-        seen.add(v)
-    return True
+    return (
+        len(ordering) == g.vertex_count
+        and _are_vertices(g, ordering)
+        and len(set(ordering)) == len(ordering)
+    )
 
 
 def check_graceful(g: HammingGraph, ordering: Ordering) -> GracefulReport:
@@ -135,7 +180,7 @@ def check_graceful(g: HammingGraph, ordering: Ordering) -> GracefulReport:
     """
     if not verify_bijection(g, ordering):
         raise LabelingError(f"ordering is not a bijection onto the vertices of {g}")
-    violations = _window_violations(ordering, range(1, len(ordering) + 1), g.diameter)
+    violations = _violations(ordering, range(1, len(ordering) + 1), g.diameter)
     return GracefulReport(graceful=not violations, violations=violations)
 
 
@@ -168,15 +213,19 @@ def span_of_ordering(g: HammingGraph, ordering: Ordering) -> tuple[RadioLabeling
     its predecessor's that satisfies the radio condition against all earlier
     vertices (next_label).  No labeling that is monotone in this order can
     have a smaller span: lowering any label breaks a constraint with an
-    earlier vertex.  Returns (labeling, span).
+    earlier vertex.  A radio graceful ordering gets the labels 1..N without
+    the greedy loop, which would assign them too.  Returns (labeling, span).
     """
     if not verify_bijection(g, ordering):
         raise LabelingError(f"ordering is not a bijection onto the vertices of {g}")
     diam = g.diameter
+    consecutive = range(1, len(ordering) + 1)
+    if next(_window_violations(ordering, consecutive, diam), None) is None:
+        return dict(zip(ordering, consecutive)), len(ordering)
     labels: list[int] = []
     for v in ordering:
         labels.append(next_label(labels, lambda j: hamming(ordering[j], v), diam))
-    return dict(zip(ordering, labels)), labels[-1] if labels else 0
+    return dict(zip(ordering, labels)), labels[-1]
 
 
 def read_labeling_csv(source: Union[str, TextIO]) -> RadioLabeling:

@@ -15,10 +15,11 @@ these bounds is returned as optimal with no search nodes; one of span N
 Below the root, exceptional.search_orderings (the search that also finds
 r) keeps a vertex placed at depth d only when its label is below
 bound - minimal_remaining_increment(N - d, r), and every complete ordering
-lowers the bound.  The run-length search shares the solve deadline; past
-that or its node cap r = N is used (no forced jumps), and once the
-deadline has passed the branch and bound is not started.  A result that is
-not optimal carries jump_lower_bound(N, r) as its proven lower_bound.
+lowers the bound.  The random incumbents and the run-length search share
+the solve deadline; past that or its node cap r = N is used (no forced
+jumps), and once the deadline has passed the branch and bound is not
+started.  A result that is not optimal carries jump_lower_bound(N, r) as
+its proven lower_bound.
 """
 
 from __future__ import annotations
@@ -80,9 +81,10 @@ def minimal_remaining_increment(remaining: int, run_length: int) -> int:
     return (remaining - 1) + (math.ceil(remaining / run_length) - 1)
 
 
-def _initial_incumbent(g: HammingGraph) -> tuple[RadioLabeling, int]:
+def _initial_incumbent(g: HammingGraph, deadline: float) -> tuple[RadioLabeling, int]:
     """A valid labeling to start from: constructive for the diameter-3
-    families, best-of-a-few random greedy orderings otherwise."""
+    families, otherwise the best of the lexicographic ordering and a few
+    random ones, tried only until the deadline (perf_counter time)."""
     try:
         return span_of_ordering(g, constructive_ordering(g.factor_sizes))
     except FormulaDomainError:
@@ -92,6 +94,8 @@ def _initial_incumbent(g: HammingGraph) -> tuple[RadioLabeling, int]:
     verts = g.vertices()
     best_lab, best_span = span_of_ordering(g, verts)
     for _ in range(_HEURISTIC_TRIES):
+        if time.perf_counter() > deadline:
+            break
         rng.shuffle(verts)
         lab, span = span_of_ordering(g, verts)
         if span < best_span:
@@ -130,7 +134,8 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
         # Complete graph (or a single vertex): any injective labeling works.
         return finish(n, {v: i + 1 for i, v in enumerate(g.vertices())}, True, n, 0)
 
-    best_lab, best_span = _initial_incumbent(g)
+    deadline = started + cfg.time_budget
+    best_lab, best_span = _initial_incumbent(g, deadline)
     bound = best_span
     if cfg.initial_upper_bound is not None and cfg.initial_upper_bound < bound:
         bound = cfg.initial_upper_bound
@@ -140,7 +145,6 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
     # Root certificate: rn >= N always, and rn >= N + ceil(N / r) - 1 when no
     # run of r + 1 consecutive labels exists.  An incumbent that meets this
     # bound is optimal without search; one of span N needs no run search.
-    deadline = started + cfg.time_budget
     run_length = n
     if bound > n:
         try:

@@ -8,6 +8,7 @@ labeling is re-derived, and radio numbers come from full enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 
 
 def mismatch(a, b):
@@ -16,6 +17,25 @@ def mismatch(a, b):
 
 def all_vertices(sizes):
     return list(itertools.product(*(range(1, s + 1) for s in sizes)))
+
+
+def is_bijection(sizes, ordering):
+    """Every item a tuple of len(sizes) ints (no bools) in 1..size, each
+    vertex listed once, checked item by item."""
+
+    def is_vertex(v):
+        return (
+            type(v) is tuple
+            and len(v) == len(sizes)
+            and all(type(c) is int and 1 <= c <= s for c, s in zip(v, sizes))
+        )
+
+    seen = set()
+    for v in ordering:
+        if not is_vertex(v) or v in seen:
+            return False
+        seen.add(v)
+    return len(seen) == math.prod(sizes)
 
 
 def diameter(sizes):

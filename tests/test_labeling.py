@@ -1,13 +1,17 @@
 import itertools
+import math
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radiohamming.labeling as labeling_mod
 from radiohamming import (
+    GraphError,
     HammingGraph,
     LabelingError,
+    build_ordering,
     check_graceful,
     labeling_233,
     ordering_233,
@@ -218,6 +222,91 @@ def test_greedy_output_always_validates(sizes, data):
     assert report.valid
     assert report.span == span
     assert [labeling[v] for v in perm] == oracles.greedy_labels(sizes, list(perm))
+
+
+SIZES = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple)
+BAD_ITEMS = ["bool", "float", "zero", "size+1", "length", "list", "duplicate"]
+
+
+def _bad_item(ordering, pos, kind, sizes):
+    v = list(ordering[pos])
+    c = pos % len(v)
+    if kind == "list":
+        return v
+    if kind == "length":
+        return tuple(v + [1]) if pos % 2 else tuple(v[:-1])
+    if kind == "duplicate":
+        return ordering[pos - 1]  # the last item when pos is 0
+    v[c] = {"bool": True, "float": 1.0, "zero": 0, "size+1": sizes[c] + 1}[kind]
+    return tuple(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes=SIZES, data=st.data())
+def test_verify_bijection_matches_item_by_item_check(sizes, data):
+    g = HammingGraph(sizes)
+    ordering = data.draw(st.permutations(g.vertices()))
+    assert verify_bijection(g, ordering)
+    pos = data.draw(st.sampled_from([0, len(ordering) // 2, len(ordering) - 1]))
+    kind = data.draw(st.sampled_from(BAD_ITEMS))
+    ordering[pos] = _bad_item(ordering, pos, kind, sizes)
+    assert verify_bijection(g, ordering) == oracles.is_bijection(sizes, ordering)
+    if kind != "duplicate" or len(ordering) > 1:
+        assert not verify_bijection(g, ordering)
+
+
+def test_validate_names_the_first_bad_item():
+    g = HammingGraph((2, 2))
+    with pytest.raises(LabelingError, match=r"^label 0 for vertex \(1, 1\) is not a positive integer$"):
+        validate(g, {(1, 1): 0, (1, 2): 2, (2, 1): 3, (3, 1): 4})
+    with pytest.raises(GraphError, match=r"^coordinate 3 of vertex \(3, 1\) outside 1..2$"):
+        validate(g, {(3, 1): 1, (1, 2): 2, (2, 1): 3, (1, 1): 0})
+    with pytest.raises(LabelingError, match=r"^label 2.0 for vertex \(1, 2\) is not a positive integer$"):
+        validate(g, {(1, 1): 1, (1, 2): 2.0, (2, 1): 3, (2, 2): 4})
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=SIZES.filter(lambda s: math.prod(s) <= 100), data=st.data())
+def test_window_scan_and_shortcut_match_the_definitions(sizes, data):
+    g = HammingGraph(sizes)
+    ordering = data.draw(st.permutations(g.vertices()))
+    labeling, span = span_of_ordering(g, ordering)
+    labels = oracles.greedy_labels(sizes, ordering)
+    assert [labeling[v] for v in ordering] == labels
+    assert span == labels[-1]
+    graceful = check_graceful(g, ordering).graceful
+    consecutive = {v: i for i, v in enumerate(ordering, 1)}
+    assert graceful == oracles.radio_valid(sizes, consecutive)
+    assert graceful == (span == len(ordering))
+
+
+def _count_next_label(monkeypatch):
+    calls = []
+    next_label = labeling_mod.next_label
+
+    def counting(*args):
+        calls.append(1)
+        return next_label(*args)
+
+    monkeypatch.setattr(labeling_mod, "next_label", counting)
+    return calls
+
+
+def test_graceful_ordering_skips_the_greedy(monkeypatch):
+    calls = _count_next_label(monkeypatch)
+    g = HammingGraph((5, 6, 7))
+    labeling, span = span_of_ordering(g, build_ordering(5, 6, 7))
+    assert not calls
+    assert span == g.vertex_count
+    assert validate(g, labeling).valid
+
+
+def test_ordering_with_violations_runs_the_greedy(monkeypatch):
+    calls = _count_next_label(monkeypatch)
+    labeling, span = span_of_ordering(HammingGraph((2, 3, 3)), ordering_233())
+    assert calls
+    assert span == 20
+    assert labeling == labeling_233()
 
 
 def test_labeling_csv_roundtrip(tmp_path):

@@ -160,6 +160,26 @@ class TestRootCertificate:
         assert report.valid
         assert report.span == result.rn
 
+    def test_spent_time_budget_keeps_only_the_first_incumbent(self, monkeypatch):
+        # K_10^4 has no closed form: the random incumbents stop at the
+        # deadline, but the lexicographic one is always labeled as a witness
+        calls = 0
+        span_of_ordering = solver_mod.span_of_ordering
+
+        def counting_span(g, ordering):
+            nonlocal calls
+            calls += 1
+            return span_of_ordering(g, ordering)
+
+        monkeypatch.setattr(solver_mod, "span_of_ordering", counting_span)
+        g = HammingGraph((10, 10, 10, 10))
+        result = solve(g, SolverConfig(time_budget=1e-6))
+        assert calls == 1
+        assert not result.optimal
+        report = validate(g, result.witness)
+        assert report.valid
+        assert report.span == result.rn
+
 
 @pytest.fixture
 def shallow_recursion():
