@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .exceptional import (
     FormulaDomainError,
@@ -27,69 +26,41 @@ from .exceptional import (
 from .graphs import GraphError, HammingGraph, format_vertex, parse_graph
 from .labeling import (
     LabelingError,
+    check_graceful,
     read_labeling_csv,
     span_of_ordering,
     validate,
-    verify_bijection,
-    check_graceful,
     write_labeling_csv,
 )
 from .ordering import ConstructionError, build_blocks, build_ordering, construction_params
-from .solver import SolverConfig, SolverError, solve
+from .solver import SolveResult, SolverConfig, SolverError, solve
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-SOLVER_VERTEX_LIMIT = 18  # sweep runs the exact solver up to this size
+
+def _sorted_graph(spec: str) -> tuple[HammingGraph, list[int] | None]:
+    """The graph of a "2x3x3"-style spec with its factors sorted ascending,
+    and the index in spec of each sorted factor, or None if spec lists them
+    in ascending order already."""
+    sizes = parse_graph(spec).factor_sizes
+    g = HammingGraph(tuple(sorted(sizes)))
+    if g.factor_sizes == sizes:
+        return g, None
+    return g, sorted(range(len(sizes)), key=sizes.__getitem__)
 
 
-@dataclass
-class GraphSpec:
-    """Parsed "2x3x3"-style spec with factors sorted ascending."""
-
-    original: tuple[int, ...]
-    sorted_sizes: tuple[int, ...]
-    permutation: tuple[int, ...]  # original index of each sorted factor
-
-    @property
-    def was_permuted(self) -> bool:
-        return self.original != self.sorted_sizes
-
-    @property
-    def sorted_text(self) -> str:
-        return "x".join(str(s) for s in self.sorted_sizes)
-
-
-def parse_spec(text: str) -> GraphSpec:
-    g = parse_graph(text)
-    tagged = sorted((s, i) for i, s in enumerate(g.factor_sizes))
-    return GraphSpec(
-        original=g.factor_sizes,
-        sorted_sizes=tuple(s for s, _ in tagged),
-        permutation=tuple(i for _, i in tagged),
-    )
-
-
-def _env_int(name: str, fallback: int) -> int:
+def _env_number(name: str, kind: type, fallback):
     raw = os.environ.get(name)
     if raw is None:
         return fallback
     try:
-        return int(raw)
+        return kind(raw)
     except ValueError:
-        raise GraphError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return float(raw)
-    except ValueError:
-        raise GraphError(f"{name} must be a number, got {raw!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise GraphError(f"{name} must be {what}, got {raw!r}") from None
 
 
 def _solver_config(args) -> SolverConfig:
@@ -100,17 +71,26 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
+def _certify(g: HammingGraph, expected: int, cfg: SolverConfig) -> tuple[SolveResult, int]:
+    """Solve g and compare with expected: exit 0 if the solver proves rn =
+    expected, 1 if it proves another value, 3 if its budget ran out."""
+    solved = solve(g, cfg)
+    if not solved.optimal:
+        return solved, EXIT_BUDGET
+    return solved, EXIT_OK if solved.rn == expected else EXIT_SEMANTIC
+
+
 def _add_budget_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--node-budget",
         type=int,
-        default=_env_int("RADIOHAMMING_NODE_BUDGET", SolverConfig.node_budget),
+        default=_env_number("RADIOHAMMING_NODE_BUDGET", int, SolverConfig.node_budget),
         help="maximum search nodes before giving up",
     )
     parser.add_argument(
         "--time-budget",
         type=float,
-        default=_env_float("RADIOHAMMING_TIME_BUDGET", SolverConfig.time_budget),
+        default=_env_number("RADIOHAMMING_TIME_BUDGET", float, SolverConfig.time_budget),
         help="maximum search seconds before giving up",
     )
 
@@ -130,29 +110,23 @@ def _print_json(payload: dict, out) -> None:
 
 
 def cmd_order(args) -> int:
-    spec = parse_spec(args.spec)
-    if len(spec.original) != 3 or min(spec.original) < 2:
+    g, permutation = _sorted_graph(args.spec)
+    if len(g.factor_sizes) != 3 or g.factor_sizes[0] < 2:
         print(
             f"error: ordering construction needs exactly three factors >= 2, "
             f"got {args.spec!r}",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    if spec.was_permuted:
-        print(
-            f"note: factors sorted to {spec.sorted_text} "
-            f"(isomorphic to {args.spec})",
-            file=sys.stderr,
-        )
-    n1, n2, n3 = spec.sorted_sizes
-    g = HammingGraph(spec.sorted_sizes)
-    params = construction_params(n1, n2, n3)
+    if permutation:
+        print(f"note: factors sorted to {g} (isomorphic to {args.spec})", file=sys.stderr)
+    params = construction_params(*g.factor_sizes)
     blocks = build_blocks(params)
     ordering = [row for block in blocks for row in block.rows()]
     graceful = check_graceful(g, ordering).graceful
     if not graceful:
         print(
-            f"warning: {spec.sorted_text} is exceptional; "
+            f"warning: {g} is exceptional; "
             "this ordering is a bijection but not graceful",
             file=sys.stderr,
         )
@@ -160,12 +134,12 @@ def cmd_order(args) -> int:
         if args.format == "json":
             payload = {
                 "spec": args.spec,
-                "sorted_spec": spec.sorted_text,
+                "sorted_spec": str(g),
                 "vertex_count": len(ordering),
                 "graceful": graceful,
             }
-            if spec.was_permuted:
-                payload["factor_permutation"] = list(spec.permutation)
+            if permutation:
+                payload["factor_permutation"] = permutation
             if args.blocks:
                 payload["blocks"] = [
                     [format_vertex(v) for v in block.rows()] for block in blocks
@@ -210,18 +184,11 @@ def cmd_rn(args) -> int:
     }
     exit_code = EXIT_OK
     if args.certify:
-        solved = solve(g, _solver_config(args))
+        solved, exit_code = _certify(g, result.value, _solver_config(args))
         payload["solver_rn"] = solved.rn
         payload["solver_optimal"] = solved.optimal
         payload["nodes_explored"] = solved.nodes_explored
-        if not solved.optimal:
-            payload["certified"] = None
-            exit_code = EXIT_BUDGET
-        elif solved.rn != result.value:
-            payload["certified"] = False
-            exit_code = EXIT_SEMANTIC
-        else:
-            payload["certified"] = True
+        payload["certified"] = solved.rn == result.value if solved.optimal else None
     _print_json(payload, sys.stdout)
     return exit_code
 
@@ -245,38 +212,28 @@ def cmd_solve(args) -> int:
 
 
 def cmd_label(args) -> int:
-    spec = parse_spec(args.spec)
-    if spec.was_permuted:
-        print(
-            f"note: factors sorted to {spec.sorted_text} "
-            f"(isomorphic to {args.spec})",
-            file=sys.stderr,
-        )
-    g = HammingGraph(spec.sorted_sizes)
-    labeling, span = span_of_ordering(g, constructive_ordering(spec.sorted_sizes))
+    g, permutation = _sorted_graph(args.spec)
+    if permutation:
+        print(f"note: factors sorted to {g} (isomorphic to {args.spec})", file=sys.stderr)
+    labeling, span = span_of_ordering(g, constructive_ordering(g.factor_sizes))
     with _open_output(args.output) as out:
         write_labeling_csv(out, labeling)
-    exit_code = EXIT_OK
-    if args.certify:
-        solved = solve(g, _solver_config(args))
-        if not solved.optimal:
-            print(
-                f"certification incomplete: solver budget exhausted at rn <= {solved.rn}",
-                file=sys.stderr,
-            )
-            exit_code = EXIT_BUDGET
-        elif solved.rn != span:
-            print(
-                f"certification FAILED: labeling span {span} "
-                f"but exact radio number is {solved.rn}",
-                file=sys.stderr,
-            )
-            exit_code = EXIT_SEMANTIC
-        else:
-            print(
-                f"certified: span {span} equals the exact radio number",
-                file=sys.stderr,
-            )
+    if not args.certify:
+        return EXIT_OK
+    solved, exit_code = _certify(g, span, _solver_config(args))
+    if exit_code == EXIT_BUDGET:
+        print(
+            f"certification incomplete: solver budget exhausted at rn <= {solved.rn}",
+            file=sys.stderr,
+        )
+    elif exit_code == EXIT_SEMANTIC:
+        print(
+            f"certification FAILED: labeling span {span} "
+            f"but exact radio number is {solved.rn}",
+            file=sys.stderr,
+        )
+    else:
+        print(f"certified: span {span} equals the exact radio number", file=sys.stderr)
     return exit_code
 
 
@@ -287,7 +244,7 @@ def cmd_sweep(args) -> int:
     if min(lmax, mmax, nmax) < 2:
         print("error: sweep bounds must be >= 2", file=sys.stderr)
         return EXIT_USAGE
-    cfg = SolverConfig(node_budget=args.node_budget, time_budget=args.time_budget)
+    cfg = _solver_config(args)
     failures = []
     budget_hit = False
     with _open_output(args.output) as out:
@@ -301,34 +258,22 @@ def cmd_sweep(args) -> int:
                 for n3 in range(n2, nmax + 1):
                     g = HammingGraph((n1, n2, n3))
                     formula = radio_number_formula(n1, n2, n3)
-                    ordering = build_ordering(n1, n2, n3)
-                    if not verify_bijection(g, ordering):
-                        failures.append(f"{g}: construction is not a bijection")
-                        continue
-                    graceful = check_graceful(g, ordering).graceful
-                    _, span = span_of_ordering(g, ordering)
-                    expected_graceful = formula.case_tag == "graceful"
-                    if graceful != expected_graceful:
+                    # the greedy gives labels 1..N iff the ordering is graceful
+                    _, span = span_of_ordering(g, build_ordering(n1, n2, n3))
+                    graceful = span == g.vertex_count
+                    if graceful != (formula.case_tag == "graceful"):
                         failures.append(
                             f"{g}: graceful={graceful} but case={formula.case_tag}"
                         )
-                    if graceful and span != formula.value:
+                    solved, code = _certify(g, formula.value, cfg)
+                    budget_hit |= code == EXIT_BUDGET
+                    if code == EXIT_SEMANTIC:
                         failures.append(
-                            f"{g}: graceful span {span} != formula {formula.value}"
+                            f"{g}: solver rn {solved.rn} != formula {formula.value}"
                         )
-                    solver_rn = ""
-                    if g.vertex_count <= SOLVER_VERTEX_LIMIT:
-                        solved = solve(g, cfg)
-                        solver_rn = solved.rn
-                        if not solved.optimal:
-                            budget_hit = True
-                        elif solved.rn != formula.value:
-                            failures.append(
-                                f"{g}: solver rn {solved.rn} != formula {formula.value}"
-                            )
                     writer.writerow(
                         [n1, n2, n3, g.vertex_count, formula.value,
-                         formula.case_tag, graceful, span, solver_rn]
+                         formula.case_tag, graceful, span, solved.rn]
                     )
     for line in failures:
         print(f"MISMATCH: {line}", file=sys.stderr)
@@ -391,9 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (GraphError, ConstructionError, FormulaDomainError, LabelingError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,13 +10,16 @@ orderings, and the search runs over orderings, not label assignments.
 Root certificate: rn(G) >= N = |V(G)|, and rn(G) >= N + ceil(N / r) - 1
 when no r + 1 vertices carry consecutive labels.  An incumbent that meets
 these bounds is returned as optimal with no search nodes; one of span N
-(every radio graceful graph) needs no run-length search.
+(every radio graceful graph, complete graphs included) needs no
+run-length search.
 
 Below the root, exceptional.search_orderings (the search that also finds
 r) keeps a vertex placed at depth d only when its label is below
-bound - minimal_remaining_increment(N - d, r), and every complete ordering
-lowers the bound.  The random incumbents and the run-length search share
-the solve deadline; past that or its node cap r = N is used (no forced
+bound + 1 - jump_lower_bound(s, min(r, s)), where s = N - d: the s
+vertices from depth d on climb at least jump_lower_bound(s, min(r, s)) - 1
+labels by the same count of forced jumps.  Every complete ordering lowers
+the bound.  The random incumbents and the run-length search share the
+solve deadline; past that or its node cap r = N is used (no forced
 jumps), and once the deadline has passed the branch and bound is not
 started.  A result that is not optimal carries jump_lower_bound(N, r) as
 its proven lower_bound.
@@ -24,7 +27,6 @@ its proven lower_bound.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ _HEURISTIC_TRIES = 64
 
 
 class SolverError(RuntimeError):
-    """Search finished without producing a witness (see solve())."""
+    """The witness solve() found fails validate(): an internal error."""
 
 
 @dataclass
@@ -47,7 +49,6 @@ class SolverConfig:
     node_budget: int = 5_000_000
     time_budget: float = 300.0
     symmetry_reduction: bool = True
-    initial_upper_bound: int | None = None
 
     def __post_init__(self):
         if self.node_budget < 1:
@@ -66,25 +67,11 @@ class SolveResult:
     elapsed: float
 
 
-def minimal_remaining_increment(remaining: int, run_length: int) -> int:
-    """Lower bound on (final label - current label) over any valid completion.
-
-    remaining counts the suffix including the vertex just labeled.  The
-    suffix needs remaining - 1 unit steps, and its consecutive-label runs
-    have length at most run_length, forcing ceil(remaining / run_length) - 1
-    additional jumps of at least one extra unit.
-    """
-    if remaining < 1 or run_length < 1:
-        raise ValueError(
-            f"remaining and run length must be >= 1, got {remaining}, {run_length}"
-        )
-    return (remaining - 1) + (math.ceil(remaining / run_length) - 1)
-
-
 def _initial_incumbent(g: HammingGraph, deadline: float) -> tuple[RadioLabeling, int]:
     """A valid labeling to start from: constructive for the diameter-3
     families, otherwise the best of the lexicographic ordering and a few
-    random ones, tried only until the deadline (perf_counter time)."""
+    random ones, tried only until the deadline (perf_counter time) or until
+    one has span N, which no labeling undercuts."""
     try:
         return span_of_ordering(g, constructive_ordering(g.factor_sizes))
     except FormulaDomainError:
@@ -94,7 +81,7 @@ def _initial_incumbent(g: HammingGraph, deadline: float) -> tuple[RadioLabeling,
     verts = g.vertices()
     best_lab, best_span = span_of_ordering(g, verts)
     for _ in range(_HEURISTIC_TRIES):
-        if time.perf_counter() > deadline:
+        if best_span == len(verts) or time.perf_counter() > deadline:
             break
         rng.shuffle(verts)
         lab, span = span_of_ordering(g, verts)
@@ -108,10 +95,8 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
 
     optimal is True only when the search space was exhausted under the
     pruning bound within the configured budgets; on budget exhaustion the
-    incumbent is still a valid labeling, so rn is never under-reported.  If
-    config.initial_upper_bound is below every labeling the search can find,
-    no witness exists and SolverError is raised (this still proves that the
-    radio number is at least that bound).
+    incumbent is still a valid labeling, so rn is never under-reported, and
+    lower_bound is the proven root bound.
     """
     cfg = config or SolverConfig()
     started = time.perf_counter()
@@ -130,17 +115,8 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
             elapsed=time.perf_counter() - started,
         )
 
-    if g.diameter <= 1:
-        # Complete graph (or a single vertex): any injective labeling works.
-        return finish(n, {v: i + 1 for i, v in enumerate(g.vertices())}, True, n, 0)
-
     deadline = started + cfg.time_budget
-    best_lab, best_span = _initial_incumbent(g, deadline)
-    bound = best_span
-    if cfg.initial_upper_bound is not None and cfg.initial_upper_bound < bound:
-        bound = cfg.initial_upper_bound
-        if best_span > bound:
-            best_lab = None  # no witness below the user's bound yet
+    best_lab, bound = _initial_incumbent(g, deadline)
 
     # Root certificate: rn >= N always, and rn >= N + ceil(N / r) - 1 when no
     # run of r + 1 consecutive labels exists.  An incumbent that meets this
@@ -156,8 +132,10 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
     if bound > lower_bound and time.perf_counter() > deadline:
         stop = "time_budget"  # the run search used up the time budget
     elif bound > lower_bound:
-        # ceiling[d]: the bound less the least climb from depth d to the end
-        ceiling = [bound - minimal_remaining_increment(n - d, run_length) for d in range(n)]
+        # ceiling[d]: the bound less the least climb of the last s = n - d vertices
+        ceiling = [
+            bound + 1 - jump_lower_bound(s, min(run_length, s)) for s in range(n, 0, -1)
+        ]
 
         def on_leaf(order, labels):
             nonlocal bound, best_lab
@@ -172,11 +150,5 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
             node_budget=cfg.node_budget,
             deadline=deadline,
             symmetry=cfg.symmetry_reduction,
-        )
-
-    if best_lab is None:
-        raise SolverError(
-            f"no radio labeling of {g} with span below "
-            f"{cfg.initial_upper_bound} found; rn({g}) >= {cfg.initial_upper_bound}"
         )
     return finish(bound, best_lab, stop == "exhausted", lower_bound, nodes)

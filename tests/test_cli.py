@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from radiohamming import (
     HammingGraph,
     build_ordering,
@@ -325,11 +327,13 @@ class TestSweep:
         r333 = rows[("3", "3", "3")]
         assert r333["rn_formula"] == "27"
         assert r333["graceful"] == "True"
-        assert r333["solver_rn"] == ""  # 27 vertices, above the solver cutoff
+        assert r333["solver_rn"] == "27"
         r224 = rows[("2", "2", "4")]
         assert r224["rn_formula"] == "23"
         assert r224["graceful"] == "False"
         assert r224["solver_rn"] == "23"
+        # the solver certifies every row of the box
+        assert all(r["solver_rn"] == r["rn_formula"] for r in rows.values())
 
     def test_sweep_bad_bounds(self, capsys):
         code, _, err = run_cli(["sweep", "1"], capsys)
@@ -346,6 +350,16 @@ def test_env_budgets_feed_parser_defaults(monkeypatch):
     assert args.time_budget == 7.5
     args = build_parser().parse_args(["solve", "2x2", "--node-budget", "9"])
     assert args.node_budget == 9
+
+
+@pytest.mark.parametrize(
+    "name,value", [("RADIOHAMMING_NODE_BUDGET", "abc"), ("RADIOHAMMING_TIME_BUDGET", "x.y")]
+)
+def test_malformed_env_budget_is_a_usage_error(name, value, monkeypatch, capsys):
+    monkeypatch.setenv(name, value)
+    code, _, err = run_cli(["solve", "2x2"], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {name} must be")
 
 
 def test_permutation_recorded_in_json(capsys):

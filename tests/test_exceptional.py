@@ -223,6 +223,8 @@ class TestJumpLowerBound:
     def test_pinned_values(self):
         assert jump_lower_bound(18, 6) == 20
         assert jump_lower_bound(5, 5) == 5
+        # the solver's ceiling takes min(r, s) for a suffix of s < r vertices
+        assert jump_lower_bound(1, min(99, 1)) == 1
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_two_run_family(self, n):

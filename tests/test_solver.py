@@ -12,10 +12,8 @@ import radiohamming.solver as solver_mod
 from radiohamming import (
     HammingGraph,
     SolverConfig,
-    SolverError,
     jump_lower_bound,
     max_consecutive_run,
-    minimal_remaining_increment,
     radio_number_formula,
     solve,
     validate,
@@ -30,28 +28,6 @@ GRAPHS_UP_TO_8 = [
 ]
 
 GRAPHS_UP_TO_12 = GRAPHS_UP_TO_8 + [(9,), (10,), (11,), (12,), (2, 5), (2, 6), (3, 3), (3, 4), (2, 2, 3)]
-
-
-class TestMinimalRemainingIncrement:
-    def test_pinned_values(self):
-        assert minimal_remaining_increment(18, 6) == 19
-        assert minimal_remaining_increment(1, 1) == 0
-        assert minimal_remaining_increment(1, 99) == 0
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_two_run_family(self, n):
-        assert minimal_remaining_increment(4 * n, 2) == 6 * n - 2
-
-    def test_consistent_with_jump_lower_bound(self):
-        # from label 1 the increment bound reproduces the rn bound
-        for count, run in [(18, 6), (8, 2), (12, 2), (5, 5)]:
-            assert 1 + minimal_remaining_increment(count, run) == jump_lower_bound(count, run)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            minimal_remaining_increment(0, 2)
-        with pytest.raises(ValueError):
-            minimal_remaining_increment(4, 0)
 
 
 class TestSolveExactValues:
@@ -84,6 +60,27 @@ class TestSolveExactValues:
         assert result.rn == 7
         assert result.optimal
         assert result.nodes_explored == 0
+
+    @pytest.mark.parametrize("sizes", [(1,), (7,), (1, 4)])
+    def test_complete_graph_certifies_at_the_root(self, sizes, monkeypatch):
+        # no special case: the lexicographic incumbent has span N, which
+        # ends the random tries and meets the root bound rn >= N
+        calls = 0
+        span_of_ordering = solver_mod.span_of_ordering
+
+        def counting_span(g, ordering):
+            nonlocal calls
+            calls += 1
+            return span_of_ordering(g, ordering)
+
+        monkeypatch.setattr(solver_mod, "span_of_ordering", counting_span)
+        g = HammingGraph(sizes)
+        result = solve(g)
+        assert result.optimal
+        assert result.rn == result.lower_bound == g.vertex_count
+        assert result.nodes_explored == 0
+        assert calls == 1
+        assert validate(g, result.witness).valid
 
     def test_trivial_factors_are_ignored(self):
         result = solve(HammingGraph((2, 1, 2)))
@@ -237,15 +234,6 @@ class TestSolverInvariants:
         assert report.valid
         assert report.span == result.rn
         assert g.vertex_count <= result.lower_bound <= result.rn
-
-    def test_loose_user_bound_keeps_answer(self):
-        result = solve(HammingGraph((3, 3)), SolverConfig(initial_upper_bound=40))
-        assert result.optimal
-        assert result.rn == 9
-
-    def test_tight_user_bound_raises_without_witness(self):
-        with pytest.raises(SolverError):
-            solve(HammingGraph((3, 3)), SolverConfig(initial_upper_bound=9))
 
     def test_rejects_bad_budgets(self):
         with pytest.raises(ValueError):
