@@ -67,6 +67,12 @@ class SolveResult:
     elapsed: float
 
 
+def _min_remaining_increment(count: int, run_length: int) -> int:
+    """Least climb from the first to the last label of count vertices placed
+    one after another when no run_length + 1 labels are consecutive."""
+    return jump_lower_bound(count, min(run_length, count)) - 1
+
+
 def _initial_incumbent(g: HammingGraph, deadline: float) -> tuple[RadioLabeling, int]:
     """A valid labeling to start from: constructive for the diameter-3
     families, otherwise the best of the lexicographic ordering and a few
@@ -133,9 +139,7 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
         stop = "time_budget"  # the run search used up the time budget
     elif bound > lower_bound:
         # ceiling[d]: the bound less the least climb of the last s = n - d vertices
-        ceiling = [
-            bound + 1 - jump_lower_bound(s, min(run_length, s)) for s in range(n, 0, -1)
-        ]
+        ceiling = [bound - _min_remaining_increment(s, run_length) for s in range(n, 0, -1)]
 
         def on_leaf(order, labels):
             nonlocal bound, best_lab

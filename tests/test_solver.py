@@ -30,6 +30,24 @@ GRAPHS_UP_TO_8 = [
 GRAPHS_UP_TO_12 = GRAPHS_UP_TO_8 + [(9,), (10,), (11,), (12,), (2, 5), (2, 6), (3, 3), (3, 4), (2, 2, 3)]
 
 
+class TestMinimalRemainingIncrement:
+    # the climb the solver's ceiling subtracts from the bound at each depth
+    def test_pinned_values(self):
+        assert solver_mod._min_remaining_increment(18, 6) == 19
+        assert solver_mod._min_remaining_increment(1, 1) == 0
+        assert solver_mod._min_remaining_increment(1, 99) == 0
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_two_run_family(self, n):
+        assert solver_mod._min_remaining_increment(4 * n, 2) == 6 * n - 2
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            solver_mod._min_remaining_increment(0, 2)
+        with pytest.raises(ValueError):
+            solver_mod._min_remaining_increment(4, 0)
+
+
 class TestSolveExactValues:
     @pytest.mark.parametrize(
         "sizes,expected",
