@@ -32,7 +32,7 @@ from .labeling import (
     validate,
     write_labeling_csv,
 )
-from .ordering import ConstructionError, build_blocks, build_ordering, construction_params
+from .ordering import ConstructionError, build_ordering, construction_params
 from .solver import SolveResult, SolverConfig, SolverError, solve
 
 EXIT_OK = 0
@@ -120,9 +120,8 @@ def cmd_order(args) -> int:
         return EXIT_USAGE
     if permutation:
         print(f"note: factors sorted to {g} (isomorphic to {args.spec})", file=sys.stderr)
-    params = construction_params(*g.factor_sizes)
-    blocks = build_blocks(params)
-    ordering = [row for block in blocks for row in block.rows()]
+    ordering = build_ordering(*g.factor_sizes)
+    rows = construction_params(*g.factor_sizes).rows_per_block
     graceful = check_graceful(g, ordering).graceful
     if not graceful:
         print(
@@ -142,7 +141,8 @@ def cmd_order(args) -> int:
                 payload["factor_permutation"] = permutation
             if args.blocks:
                 payload["blocks"] = [
-                    [format_vertex(v) for v in block.rows()] for block in blocks
+                    [format_vertex(v) for v in ordering[start : start + rows]]
+                    for start in range(0, len(ordering), rows)
                 ]
             else:
                 payload["ordering"] = [format_vertex(v) for v in ordering]
@@ -150,13 +150,10 @@ def cmd_order(args) -> int:
         else:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(["position", "vertex"])
-            position = 0
-            for block in blocks:
-                if args.blocks and block.index > 1:
-                    out.write(f"# block {block.index}\n")
-                for v in block.rows():
-                    position += 1
-                    writer.writerow([position, format_vertex(v)])
+            for position, v in enumerate(ordering):
+                if args.blocks and position and position % rows == 0:
+                    out.write(f"# block {position // rows + 1}\n")
+                writer.writerow([position + 1, format_vertex(v)])
     return EXIT_OK
 
 
@@ -339,15 +336,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
-    except (GraphError, ConstructionError, FormulaDomainError, LabelingError) as exc:
+    except (GraphError, ConstructionError, FormulaDomainError, LabelingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

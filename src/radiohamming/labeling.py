@@ -14,13 +14,14 @@ condition, so validation scans the label-sorted vertices for pairs one, two,
 with distinct labels that is O(N * diam) after the sort.  The per-vertex
 and per-pair work runs in C-level streams (map, zip, itemgetter, islice)
 column by column: a bulk vertex check, and one window scan that adds the
-label gap to per-column coordinate mismatches and builds Violation objects
-only for the pairs it flags.
+label gap to per-column coordinate mismatches and yields the pairs it flags.
 
-span_of_ordering first runs the window scan on the consecutive labels and,
-when no pair fails, returns them without the greedy loop.  This is exact:
-by induction, the greedy gives position i the label i for every i iff the
-consecutive labeling is a radio labeling.
+check_graceful is the one yes/no graceful test: the window scan on the
+consecutive labels, stopped at the first flagged pair.  span_of_ordering
+starts from it and, on a graceful ordering, returns the labels 1..N without
+the greedy loop.  This is exact: by induction, the greedy gives position i
+the label i for every i iff the consecutive labeling is a radio labeling.
+Violation objects are built only for validate's reports.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ class ValidationReport:
 @dataclass
 class GracefulReport:
     graceful: bool
-    violations: list[Violation]
 
 
 def validate(g: HammingGraph, labeling: RadioLabeling) -> ValidationReport:
@@ -102,7 +102,13 @@ def validate(g: HammingGraph, labeling: RadioLabeling) -> ValidationReport:
         )
 
     labels, vertices = zip(*sorted(zip(labeling.values(), labeling)))
-    violations = _violations(vertices, labels, g.diameter)
+    diam = g.diameter
+    # position order is (smaller label, vertex, larger label, vertex) order,
+    # because the vertices are sorted by (label, vertex)
+    violations = []
+    for i, j in sorted(_window_violations(vertices, labels, diam)):
+        u, v = vertices[i], vertices[j]
+        violations.append(Violation(u, v, diam + 1 - hamming(u, v), labels[j] - labels[i]))
     return ValidationReport(valid=not violations, span=labels[-1], violations=violations)
 
 
@@ -151,17 +157,6 @@ def _window_violations(
             yield i, i + delta
 
 
-def _violations(vertices: Sequence[Vertex], labels: Sequence[int], diam: int) -> list[Violation]:
-    """The violating pairs in report order.  Position order is
-    (smaller label, vertex, larger label, vertex) order, because the
-    vertices are sorted by (label, vertex)."""
-    found = []
-    for i, j in sorted(_window_violations(vertices, labels, diam)):
-        u, v = vertices[i], vertices[j]
-        found.append(Violation(u, v, diam + 1 - hamming(u, v), labels[j] - labels[i]))
-    return found
-
-
 def verify_bijection(g: HammingGraph, ordering: Ordering) -> bool:
     """True iff ordering lists every vertex of g exactly once."""
     return (
@@ -175,13 +170,14 @@ def check_graceful(g: HammingGraph, ordering: Ordering) -> GracefulReport:
     """Check whether the consecutive labeling f(x_i) = i is a radio labeling.
 
     Equivalent to validate() on that labeling: the only pairs that can fail
-    are those within a window of diam(G) - 1 positions.  Raises
-    LabelingError if the ordering is not a bijection onto V(g).
+    are those within a window of diam(G) - 1 positions, and the scan stops
+    at the first pair that fails.  Raises LabelingError if the ordering is
+    not a bijection onto V(g).
     """
     if not verify_bijection(g, ordering):
         raise LabelingError(f"ordering is not a bijection onto the vertices of {g}")
-    violations = _violations(ordering, range(1, len(ordering) + 1), g.diameter)
-    return GracefulReport(graceful=not violations, violations=violations)
+    flagged = _window_violations(ordering, range(1, len(ordering) + 1), g.diameter)
+    return GracefulReport(graceful=next(flagged, None) is None)
 
 
 def next_label(labels: Sequence[int], dist_back: Callable[[int], int], diam: int) -> int:
@@ -213,15 +209,14 @@ def span_of_ordering(g: HammingGraph, ordering: Ordering) -> tuple[RadioLabeling
     its predecessor's that satisfies the radio condition against all earlier
     vertices (next_label).  No labeling that is monotone in this order can
     have a smaller span: lowering any label breaks a constraint with an
-    earlier vertex.  A radio graceful ordering gets the labels 1..N without
-    the greedy loop, which would assign them too.  Returns (labeling, span).
+    earlier vertex.  A radio graceful ordering (check_graceful) gets the
+    labels 1..N without the greedy loop, which would assign them too.
+    Raises LabelingError if the ordering is not a bijection onto V(g).
+    Returns (labeling, span).
     """
-    if not verify_bijection(g, ordering):
-        raise LabelingError(f"ordering is not a bijection onto the vertices of {g}")
+    if check_graceful(g, ordering).graceful:
+        return dict(zip(ordering, range(1, len(ordering) + 1))), len(ordering)
     diam = g.diameter
-    consecutive = range(1, len(ordering) + 1)
-    if next(_window_violations(ordering, consecutive, diam), None) is None:
-        return dict(zip(ordering, consecutive)), len(ordering)
     labels: list[int] = []
     for v in ordering:
         labels.append(next_label(labels, lambda j: hamming(ordering[j], v), diam))

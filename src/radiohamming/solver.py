@@ -107,20 +107,6 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
     cfg = config or SolverConfig()
     started = time.perf_counter()
     n = g.vertex_count
-
-    def finish(rn, witness, optimal, lower_bound, nodes):
-        report = validate(g, witness)
-        if not report.valid or report.span != rn:
-            raise SolverError(f"internal error: witness invalid for {g}")
-        return SolveResult(
-            rn=rn,
-            witness=witness,
-            optimal=optimal,
-            lower_bound=rn if optimal else lower_bound,
-            nodes_explored=nodes,
-            elapsed=time.perf_counter() - started,
-        )
-
     deadline = started + cfg.time_budget
     best_lab, bound = _initial_incumbent(g, deadline)
 
@@ -155,4 +141,15 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
             deadline=deadline,
             symmetry=cfg.symmetry_reduction,
         )
-    return finish(bound, best_lab, stop == "exhausted", lower_bound, nodes)
+    report = validate(g, best_lab)
+    if not report.valid or report.span != bound:
+        raise SolverError(f"internal error: witness invalid for {g}")
+    optimal = stop == "exhausted"
+    return SolveResult(
+        rn=bound,
+        witness=best_lab,
+        optimal=optimal,
+        lower_bound=bound if optimal else lower_bound,
+        nodes_explored=nodes,
+        elapsed=time.perf_counter() - started,
+    )

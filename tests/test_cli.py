@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,11 @@ import pytest
 from radiohamming import (
     HammingGraph,
     build_ordering,
+    construction_params,
     labeling_233,
     parse_vertex,
     read_labeling_csv,
+    seed,
     validate,
 )
 from radiohamming.cli import main
@@ -26,6 +29,22 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# (spec, sorted sizes, block count): a permuted spec and a single block
+BLOCK_SPECS = [("3x3x6", (3, 3, 6), 9), ("6x3x3", (3, 3, 6), 9), ("2x3x5", (2, 3, 5), 1)]
+BLOCK_IDS = [spec for spec, *_ in BLOCK_SPECS]
+
+
+def expected_blocks(sizes, block_count):
+    """build_ordering sliced every lcm rows; each block starts at its seed."""
+    ordering = build_ordering(*sizes)
+    rows = math.lcm(*sizes)
+    blocks = [ordering[i : i + rows] for i in range(0, len(ordering), rows)]
+    params = construction_params(*sizes)
+    assert len(blocks) == block_count
+    assert [b[0] for b in blocks] == [seed(params, k).vertex for k in range(1, block_count + 1)]
+    return blocks
 
 
 class TestOrder:
@@ -62,21 +81,41 @@ class TestOrder:
         rows = list(csv.reader(io.StringIO(out)))
         assert [parse_vertex(r[1]) for r in rows[1:]] == build_ordering(3, 3, 6)
 
-    def test_blocks_csv_separators(self, capsys):
-        code, out, _ = run_cli(["order", "3x3x6", "--blocks"], capsys)
+    @pytest.mark.parametrize("spec,sizes,block_count", BLOCK_SPECS, ids=BLOCK_IDS)
+    def test_blocks_csv_separators(self, spec, sizes, block_count, capsys):
+        sorted_spec = "x".join(map(str, sizes))
+        code, out, err = run_cli(["order", spec, "--blocks"], capsys)
         assert code == 0
-        separators = [line for line in out.splitlines() if line.startswith("#")]
-        assert len(separators) == 8  # 9 blocks, rule between consecutive ones
+        assert ("note: factors sorted to" in err) == (spec != sorted_spec)
+        if spec != sorted_spec:
+            assert out == run_cli(["order", sorted_spec, "--blocks"], capsys)[1]
+        lines = out.splitlines()
+        assert lines[0] == "position,vertex"
+        blocks, separators = [[]], []
+        for line in lines[1:]:
+            if line.startswith("#"):
+                separators.append(line)
+                blocks.append([])
+            else:
+                blocks[-1].append(next(csv.reader([line])))
+        # block_count - 1 separators: a rule between consecutive blocks
+        assert separators == [f"# block {k}" for k in range(2, block_count + 1)]
+        vertices = [[parse_vertex(v) for _, v in b] for b in blocks]
+        assert vertices == expected_blocks(sizes, block_count)
+        positions = [int(p) for b in blocks for p, _ in b]
+        assert positions == list(range(1, math.prod(sizes) + 1))
 
-    def test_json_blocks(self, capsys):
-        code, out, _ = run_cli(["order", "3x3x6", "--format", "json", "--blocks"], capsys)
+    @pytest.mark.parametrize("spec,sizes,block_count", BLOCK_SPECS, ids=BLOCK_IDS)
+    def test_json_blocks(self, spec, sizes, block_count, capsys):
+        code, out, _ = run_cli(["order", spec, "--format", "json", "--blocks"], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert payload["vertex_count"] == 54
+        assert payload["sorted_spec"] == "x".join(map(str, sizes))
+        assert payload["vertex_count"] == math.prod(sizes)
         assert payload["graceful"] is True
-        assert len(payload["blocks"]) == 9
-        assert all(len(block) == 6 for block in payload["blocks"])
-        assert payload["blocks"][3][0] == "(1,2,3)"
+        assert "ordering" not in payload
+        blocks = [[parse_vertex(v) for v in b] for b in payload["blocks"]]
+        assert blocks == expected_blocks(sizes, block_count)
 
     def test_json_flat(self, capsys):
         code, out, _ = run_cli(["order", "2x3x4", "--format", "json"], capsys)

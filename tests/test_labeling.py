@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from pathlib import Path
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 
 import radiohamming.labeling as labeling_mod
 from radiohamming import (
+    GracefulReport,
     GraphError,
     HammingGraph,
     LabelingError,
     build_ordering,
     check_graceful,
     labeling_233,
+    ordering_22n,
     ordering_233,
     read_labeling_csv,
     span_of_ordering,
@@ -106,6 +109,21 @@ def test_table_order_without_gaps_is_not_graceful():
     g = HammingGraph((2, 3, 3))
     report = check_graceful(g, ordering_233())
     assert not report.graceful
+
+
+@pytest.mark.parametrize("n", [4, 9, 200])
+def test_check_graceful_is_a_yes_no_test(monkeypatch, n):
+    def no_violations(*args):
+        raise AssertionError("check_graceful built a Violation")
+
+    monkeypatch.setattr(labeling_mod, "Violation", no_violations)
+    g = HammingGraph((2, 2, n))
+    assert check_graceful(g, build_ordering(2, 2, n)) == GracefulReport(graceful=False)
+    assert check_graceful(g, ordering_22n(n)) == GracefulReport(graceful=False)
+
+
+def test_graceful_report_is_only_the_answer():
+    assert [f.name for f in dataclasses.fields(GracefulReport)] == ["graceful"]
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (4,), (2, 3)])
