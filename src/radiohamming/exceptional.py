@@ -15,8 +15,8 @@ For both families this module holds a vertex ordering whose tight labeling
 sizes to their family and that family's ordering (formula_sizes,
 constructive_ordering).  Its search_orderings, the one depth-first search
 over vertex orderings with greedy labels, finds the longest run of
-consecutive labels and runs the solver's branch and bound under two
-per-depth label ceilings; jump_lower_bound turns a run length into a bound.
+consecutive labels, fills the solver's climb table and runs its branch and
+bound; jump_lower_bound turns a run length into a bound.
 """
 
 from __future__ import annotations
@@ -224,9 +224,9 @@ def search_orderings(
 
     A vertex placed at depth d gets next_label against the vertices before
     it and is kept only when that label is below ceiling[d].  Candidates
-    are tried in lexicographic order.  Each complete ordering is passed to
-    on_leaf(order, labels), which may lower ceiling in place; a true return
-    stops the search.  symmetry fixes the first vertex at (1, ..., 1) and
+    are tried in lexicographic order.  A leaf has len(ceiling) vertices (all N
+    for a complete ordering) and is passed to on_leaf(order, labels), which
+    may lower ceiling in place; a true return stops the search.  symmetry fixes the first vertex at (1, ..., 1) and
     lets a coordinate value appear only after all smaller values of its
     factor, which loses nothing: Hamming graphs are vertex transitive and
     values within a factor are interchangeable.
@@ -276,7 +276,7 @@ def search_orderings(
                 continue
             if depth >= deepest:
                 deepest = depth + 1
-            if depth + 1 == n:
+            if depth + 1 == len(ceiling):
                 if on_leaf([verts[i] for i in placed] + [cand], labels + [label]):
                     return nodes, deepest, "stopped"
                 continue

@@ -7,22 +7,16 @@ vertices) never increases the span: smaller earlier labels only weaken
 later constraints.  So the radio number is the least greedy span over all
 orderings, and the search runs over orderings, not label assignments.
 
-Root certificate: rn(G) >= N = |V(G)|, and rn(G) >= N + ceil(N / r) - 1
-when no r + 1 vertices carry consecutive labels.  An incumbent that meets
-these bounds is returned as optimal with no search nodes; one of span N
-(every radio graceful graph, complete graphs included) needs no
-run-length search.
-
-Below the root, exceptional.search_orderings (the search that also finds
-r) keeps a vertex placed at depth d only when its label is below
-bound + 1 - jump_lower_bound(s, min(r, s)), where s = N - d: the s
-vertices from depth d on climb at least jump_lower_bound(s, min(r, s)) - 1
-labels by the same count of forced jumps.  Every complete ordering lowers
-the bound.  The random incumbents and the run-length search share the
-solve deadline; past that or its node cap r = N is used (no forced
-jumps), and once the deadline has passed the branch and bound is not
-started.  A result that is not optimal carries jump_lower_bound(N, r) as
-its proven lower_bound.
+Every lower bound comes from one climb table (_ClimbTable): m[w] is the
+least greedy climb f(x_w) - f(x_1) over w distinct vertices, and any s
+vertices consecutive in label order climb at least C(s).  The run search
+gives m[w] = w - 1 for w <= r and m[r + 1] >= r + 1, so 1 + C(N) is at least
+jump_lower_bound(N, r); search_orderings fills w = r + 1, r + 2, ... exactly.
+An incumbent of span 1 + C(N) is optimal with no search nodes; one of span N
+needs no run search.  Below the root, the branch and bound is the same
+search at w = N: a vertex at depth d is kept only when its label is below
+bound - C(N - d).  It is not started once the deadline has passed, and a
+result that is not optimal carries 1 + C(N) as its proven lower_bound.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ import time
 from dataclasses import dataclass
 
 from .exceptional import FormulaDomainError, RunSearchBudgetError, constructive_ordering
-from .exceptional import jump_lower_bound, max_consecutive_run, search_orderings
+from .exceptional import max_consecutive_run, search_orderings
 from .graphs import HammingGraph
 from .labeling import RadioLabeling, span_of_ordering, validate
 
@@ -67,10 +61,70 @@ class SolveResult:
     elapsed: float
 
 
-def _min_remaining_increment(count: int, run_length: int) -> int:
-    """Least climb from the first to the last label of count vertices placed
-    one after another when no run_length + 1 labels are consecutive."""
-    return jump_lower_bound(count, min(run_length, count)) - 1
+class _ClimbTable:
+    """Least climbs m[w] of a graph whose longest run is run_length: m[w] = w - 1
+    for w <= run is not stored, so C(s) costs O(len(past_run)), not O(run)."""
+
+    def __init__(self, vertex_count: int, run_length: int):
+        if not 1 <= run_length <= vertex_count:
+            raise ValueError(f"run length must be in 1..{vertex_count}, got {run_length}")
+        self.run = run_length
+        self.past_run = [run_length + 1]  # m[run + 1], m[run + 2], ...; no run is longer
+
+    def least(self, w: int) -> int:
+        return w - 1 if w <= self.run else self.past_run[w - self.run - 1]
+
+    def climb(self, s: int) -> int:
+        """C(s) = max_w q * m[w] + m[rem + 1], q, rem = divmod(s - 1, w - 1): s vertices
+        are q stretches of w and one of rem + 1 (w = run + 1 gives s - 1 or more)."""
+        return max((s - 1) // (w - 1) * m + self.least((s - 1) % (w - 1) + 1)
+                   for w, m in enumerate(self.past_run, self.run + 1))
+
+
+def _least_last_label(g, table, size, best, stop_at, **search):
+    """Least last label below best of size vertices: search_orderings under the
+    ceiling best - C(size - d) at depth d, ended by a leaf labeled stop_at or
+    less.  Returns (best, its labeling or None, nodes, reason)."""
+    ceiling = [best - table.climb(size - d) for d in range(size)]
+    found = None
+
+    def on_leaf(order, labels):
+        nonlocal best, found
+        ceiling[:] = [c - (best - labels[-1]) for c in ceiling]
+        best, found = labels[-1], dict(zip(order, labels))
+        return best <= stop_at
+
+    nodes, _, stop = search_orderings(g, ceiling, on_leaf, **search)
+    return best, found, nodes, stop
+
+
+def _climb_table(g: HammingGraph, bound: float, deadline: float, largest: int | None = None):
+    """Climb table of g under an incumbent of span bound: r from the run search
+    (N if it runs out), then m[w] for w = r + 1 up to largest (default N), until
+    1 + C(N) meets bound, an entry runs out of time or nodes (it is dropped)
+    or, unless largest is given, an entry past r + 1 leaves C(N) unchanged."""
+    n = g.vertex_count
+    run = n
+    if bound > n:
+        try:
+            run = max_consecutive_run(g, cap=_RUN_SEARCH_CAP, deadline=deadline)
+        except RunSearchBudgetError:
+            pass  # weakest sound choice: no forced jumps assumed
+    table = _ClimbTable(n, run)
+    for w in range(run + 1, (largest or n) + 1):
+        lower = table.climb(n)
+        if 1 + lower >= bound:
+            break
+        # m[w] <= m[w - 1] + diam, and no w vertices climb less than C(w)
+        best, _, _, stop = _least_last_label(
+            g, table, w, table.least(w - 1) + g.diameter + 2, 1 + table.climb(w),
+            node_budget=_RUN_SEARCH_CAP, deadline=deadline)
+        if stop not in ("exhausted", "stopped"):
+            break
+        table.past_run[w - run - 1 :] = [best - 1]
+        if largest is None and w > run + 1 and table.climb(n) == lower:
+            break
+    return table
 
 
 def _initial_incumbent(g: HammingGraph, deadline: float) -> tuple[RadioLabeling, int]:
@@ -110,37 +164,17 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
     deadline = started + cfg.time_budget
     best_lab, bound = _initial_incumbent(g, deadline)
 
-    # Root certificate: rn >= N always, and rn >= N + ceil(N / r) - 1 when no
-    # run of r + 1 consecutive labels exists.  An incumbent that meets this
-    # bound is optimal without search; one of span N needs no run search.
-    run_length = n
-    if bound > n:
-        try:
-            run_length = max_consecutive_run(g, cap=_RUN_SEARCH_CAP, deadline=deadline)
-        except RunSearchBudgetError:
-            pass  # weakest sound choice: no forced jumps assumed
-    lower_bound = jump_lower_bound(n, run_length)
+    # Root certificate: rn >= 1 + C(N) >= N
+    table = _climb_table(g, bound, deadline)
+    lower_bound = 1 + table.climb(n)
     nodes, stop = 0, "exhausted"
     if bound > lower_bound and time.perf_counter() > deadline:
-        stop = "time_budget"  # the run search used up the time budget
+        stop = "time_budget"  # the run search or the table used up the time budget
     elif bound > lower_bound:
-        # ceiling[d]: the bound less the least climb of the last s = n - d vertices
-        ceiling = [bound - _min_remaining_increment(s, run_length) for s in range(n, 0, -1)]
-
-        def on_leaf(order, labels):
-            nonlocal bound, best_lab
-            ceiling[:] = [c - (bound - labels[-1]) for c in ceiling]
-            bound = labels[-1]
-            best_lab = dict(zip(order, labels))
-
-        nodes, _, stop = search_orderings(
-            g,
-            ceiling,
-            on_leaf,
-            node_budget=cfg.node_budget,
-            deadline=deadline,
-            symmetry=cfg.symmetry_reduction,
-        )
+        bound, found, nodes, stop = _least_last_label(
+            g, table, n, bound, 0, node_budget=cfg.node_budget, deadline=deadline,
+            symmetry=cfg.symmetry_reduction)
+        best_lab = found or best_lab
     report = validate(g, best_lab)
     if not report.valid or report.span != bound:
         raise SolverError(f"internal error: witness invalid for {g}")

@@ -149,3 +149,16 @@ def naive_max_run(sizes, limit=None):
     for start in verts:
         extend([start], {start})
     return best
+
+
+def least_climbs(sizes, largest):
+    """[m[1], ..., m[largest]]: m[w] is the least greedy climb
+    labels[-1] - labels[0] over every sequence of w distinct vertices.
+    Hamming graphs are vertex transitive, so the first vertex is fixed at
+    (1, ..., 1) and only the other w - 1 are enumerated."""
+    first, *rest = all_vertices(sizes)
+    return [
+        min(greedy_labels(sizes, (first, *tail))[-1] - 1
+            for tail in itertools.permutations(rest, w - 1))
+        for w in range(1, largest + 1)
+    ]

@@ -1,3 +1,4 @@
+import math
 import time
 
 import pytest
@@ -19,6 +20,8 @@ from radiohamming import (
     validate,
     verify_bijection,
 )
+
+from radiohamming.exceptional import search_orderings
 
 import oracles
 
@@ -219,11 +222,31 @@ class TestMaxConsecutiveRun:
             max_consecutive_run(HammingGraph((2, 2)), cap=0)
 
 
+class TestSearchOrderings:
+    @pytest.mark.parametrize("depth", [1, 3, 5])
+    def test_leaf_sits_at_the_ceiling_length(self, depth):
+        g = HammingGraph((2, 2, 2))
+        leaves = []
+
+        def on_leaf(order, labels):
+            leaves.append((order, labels))
+
+        _, deepest, stop = search_orderings(
+            g, [math.inf] * depth, on_leaf, node_budget=10**6, deadline=math.inf
+        )
+        assert stop == "exhausted"
+        assert deepest == depth
+        assert leaves
+        for order, labels in leaves:
+            assert len(order) == len(set(order)) == len(labels) == depth
+            assert labels == oracles.greedy_labels((2, 2, 2), order)
+
+
 class TestJumpLowerBound:
     def test_pinned_values(self):
         assert jump_lower_bound(18, 6) == 20
         assert jump_lower_bound(5, 5) == 5
-        # the solver's ceiling takes min(r, s) for a suffix of s < r vertices
+        # a single vertex is forced into no jump, whatever its run
         assert jump_lower_bound(1, min(99, 1)) == 1
 
     @pytest.mark.parametrize("n", range(1, 10))

@@ -1,4 +1,5 @@
 import inspect
+import math
 import operator
 import sys
 import time
@@ -31,21 +32,58 @@ GRAPHS_UP_TO_12 = GRAPHS_UP_TO_8 + [(9,), (10,), (11,), (12,), (2, 5), (2, 6), (
 
 
 class TestMinimalRemainingIncrement:
-    # the climb the solver's ceiling subtracts from the bound at each depth
+    # C(s) on the table seeded by the run search alone: the climb the
+    # branch-and-bound ceiling subtracts from the bound at each depth
     def test_pinned_values(self):
-        assert solver_mod._min_remaining_increment(18, 6) == 19
-        assert solver_mod._min_remaining_increment(1, 1) == 0
-        assert solver_mod._min_remaining_increment(1, 99) == 0
+        assert solver_mod._ClimbTable(18, 6).climb(18) == 19
+        assert solver_mod._ClimbTable(1, 1).climb(1) == 0
+        assert solver_mod._ClimbTable(99, 99).climb(1) == 0
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_two_run_family(self, n):
-        assert solver_mod._min_remaining_increment(4 * n, 2) == 6 * n - 2
+        assert solver_mod._ClimbTable(4 * n, 2).climb(4 * n) == 6 * n - 2
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            solver_mod._min_remaining_increment(0, 2)
+            solver_mod._ClimbTable(4, 0)
         with pytest.raises(ValueError):
-            solver_mod._min_remaining_increment(4, 0)
+            solver_mod._ClimbTable(4, 5)
+
+    def test_seed_is_the_jump_bound(self):
+        for n in range(1, 25):
+            for r in range(1, n + 1):
+                table = solver_mod._ClimbTable(n, r)
+                for s in range(1, n + 1):
+                    assert table.climb(s) == jump_lower_bound(s, min(r, s)) - 1
+
+
+class TestClimbTable:
+    @pytest.mark.parametrize("sizes", GRAPHS_UP_TO_12 + [(2, 2, 2, 2)])
+    def test_matches_brute_force(self, sizes):
+        g = HammingGraph(sizes)
+        top = min(g.vertex_count, 5)
+        table = solver_mod._climb_table(g, math.inf, math.inf, largest=top)
+        assert [table.least(w) for w in range(1, top + 1)] == oracles.least_climbs(sizes, top)
+
+    def test_no_entry_up_to_the_run_length(self):
+        # a spent deadline caps the run search, so r = N; storing m[w] for
+        # every w <= r would make each C(s) cost O(N) and the ceiling O(N^2)
+        g = HammingGraph((10, 10, 10, 10))
+        table = solver_mod._climb_table(g, math.inf, time.perf_counter())
+        assert table.run == g.vertex_count
+        assert table.past_run == [g.vertex_count + 1]
+
+    @pytest.mark.parametrize("sizes", [(2, 2, 2, 3), (2, 2, 3, 3), (2, 3, 3, 3), (2, 2, 2, 2, 2)])
+    def test_lower_bound_never_below_the_jump_bound(self, sizes):
+        g = HammingGraph(sizes)
+        result = solve(g, SolverConfig(node_budget=2000))
+        assert not result.optimal
+        assert result.lower_bound >= jump_lower_bound(g.vertex_count, max_consecutive_run(g))
+        assert validate(g, result.witness).valid
+
+    def test_k2_to_the_fifth_bound_beats_the_jump_bound(self):
+        result = solve(HammingGraph((2,) * 5), SolverConfig(node_budget=2000))
+        assert result.lower_bound >= 62 > jump_lower_bound(32, 2)
 
 
 class TestSolveExactValues:
@@ -106,6 +144,19 @@ class TestSolveExactValues:
         assert result.rn == 5
 
 
+class TestK2ToTheFourth:
+    def test_certified_at_30(self):
+        sizes = (2, 2, 2, 2)
+        started = time.perf_counter()
+        result = solve(HammingGraph(sizes))
+        assert time.perf_counter() - started < 5
+        assert result.optimal
+        assert result.rn == result.lower_bound == 30
+        assert max(result.witness.values()) == 30
+        assert oracles.is_bijection(sizes, list(result.witness))
+        assert oracles.radio_valid(sizes, result.witness)
+
+
 class TestSolveAgainstEnumeration:
     @pytest.mark.parametrize("sizes", GRAPHS_UP_TO_8)
     def test_matches_naive_enumeration(self, sizes):
@@ -128,8 +179,13 @@ class TestRootCertificate:
         assert result.rn == g.vertex_count
         assert result.nodes_explored == 0
 
-    @pytest.mark.parametrize("sizes", [(2, 2, 3), (2, 3, 3)])
-    def test_run_length_bound_meets_incumbent(self, sizes):
+    @pytest.mark.parametrize("sizes", [(2, 2, 3), (2, 3, 3), (2, 2, 2), (2, 2, 4), (2, 2, 5)])
+    def test_run_length_bound_meets_incumbent(self, sizes, monkeypatch):
+        # the run-seeded table meets the incumbent, so no entry is searched
+        def no_search(*args, **kwargs):
+            raise AssertionError("table or branch-and-bound search on a root certificate")
+
+        monkeypatch.setattr(solver_mod, "search_orderings", no_search)
         result = solve(HammingGraph(sizes))
         assert result.optimal
         assert result.rn == radio_number_formula(*sizes).value
