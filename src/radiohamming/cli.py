@@ -4,8 +4,8 @@ Subcommands: order, verify, rn, solve, label, sweep.  Every command is a
 thin adapter over the library; no labeling logic lives here.
 
 Exit codes: 0 success, 1 semantic failure (invalid labeling, certification
-mismatch), 2 usage or I/O error, 3 budget exhaustion.  Default solver
-budgets come from RADIOHAMMING_NODE_BUDGET and RADIOHAMMING_TIME_BUDGET.
+mismatch), 2 usage or I/O error, 3 budget exhaustion.  Every command that
+solves takes --node-budget and --time-budget, defaulting to SolverConfig's.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from contextlib import contextmanager
 
@@ -52,23 +51,8 @@ def _sorted_graph(spec: str) -> tuple[HammingGraph, list[int] | None]:
     return g, sorted(range(len(sizes)), key=sizes.__getitem__)
 
 
-def _env_number(name: str, kind: type, fallback):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return kind(raw)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise GraphError(f"{name} must be {what}, got {raw!r}") from None
-
-
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        node_budget=args.node_budget,
-        time_budget=args.time_budget,
-        symmetry_reduction=not getattr(args, "no_symmetry", False),
-    )
+    return SolverConfig(node_budget=args.node_budget, time_budget=args.time_budget)
 
 
 def _certify(g: HammingGraph, expected: int, cfg: SolverConfig) -> tuple[SolveResult, int]:
@@ -84,13 +68,13 @@ def _add_budget_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--node-budget",
         type=int,
-        default=_env_number("RADIOHAMMING_NODE_BUDGET", int, SolverConfig.node_budget),
+        default=SolverConfig.node_budget,
         help="maximum search nodes before giving up",
     )
     parser.add_argument(
         "--time-budget",
         type=float,
-        default=_env_number("RADIOHAMMING_TIME_BUDGET", float, SolverConfig.time_budget),
+        default=SolverConfig.time_budget,
         help="maximum search seconds before giving up",
     )
 
@@ -309,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact radio number by branch and bound")
     p.add_argument("spec", help="graph spec, e.g. 2x3x3")
-    p.add_argument("--no-symmetry", action="store_true", help="disable symmetry reduction")
     p.add_argument("--witness-out", default=None, help="witness CSV path")
     _add_budget_args(p)
     p.set_defaults(handler=cmd_solve)

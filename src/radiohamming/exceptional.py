@@ -16,7 +16,7 @@ sizes to their family and that family's ordering (formula_sizes,
 constructive_ordering).  Its search_orderings, the one depth-first search
 over vertex orderings with greedy labels, finds the longest run of
 consecutive labels, fills the solver's climb table and runs its branch and
-bound; jump_lower_bound turns a run length into a bound.
+bound, where a run length becomes a lower bound.
 """
 
 from __future__ import annotations
@@ -218,7 +218,6 @@ def search_orderings(
     *,
     node_budget: int,
     deadline: float,
-    symmetry: bool = True,
 ) -> tuple[int, int, str]:
     """Depth-first search over vertex orderings of g with greedy labels.
 
@@ -226,10 +225,10 @@ def search_orderings(
     it and is kept only when that label is below ceiling[d].  Candidates
     are tried in lexicographic order.  A leaf has len(ceiling) vertices (all N
     for a complete ordering) and is passed to on_leaf(order, labels), which
-    may lower ceiling in place; a true return stops the search.  symmetry fixes the first vertex at (1, ..., 1) and
-    lets a coordinate value appear only after all smaller values of its
-    factor, which loses nothing: Hamming graphs are vertex transitive and
-    values within a factor are interchangeable.
+    may lower ceiling in place; a true return stops the search.  The first
+    vertex is (1, ..., 1), and a coordinate value appears only after all
+    smaller values of its factor, which loses nothing: Hamming graphs are
+    vertex transitive and values within a factor are interchangeable.
 
     Each candidate that passes the used and symmetry filters is a node.
     The search stops after node_budget nodes or past deadline (perf_counter
@@ -249,7 +248,7 @@ def search_orderings(
     labels: list[int] = []
     used = [False] * n
     # a frame per depth: [next candidate index, value limits or None if none bind]
-    stack = [[0, [1] * k if symmetry else None]]
+    stack = [[0, [1] * k]]
     nodes = deepest = 0
     while stack:
         depth = len(placed)
@@ -312,13 +311,9 @@ def max_consecutive_run(
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
-    n = g.vertex_count
-    if g.diameter <= 1:
-        # No window constraints: any order of all vertices qualifies.
-        return n
     _, deepest, stop = search_orderings(
         g,
-        [d + 2 for d in range(n)],
+        [d + 2 for d in range(g.vertex_count)],
         lambda order, labels: True,
         node_budget=cap,
         deadline=math.inf if deadline is None else deadline,
@@ -326,19 +321,3 @@ def max_consecutive_run(
     if stop in ("exhausted", "stopped"):
         return deepest
     raise RunSearchBudgetError(deepest, cap, timed_out=stop == "time_budget")
-
-
-def jump_lower_bound(vertex_count: int, run_length: int) -> int:
-    """Lower bound on the radio number of any graph whose maximum
-    consecutive run is run_length.
-
-    The labels of all vertex_count vertices split into maximal runs of
-    consecutive values, each of length at most run_length, so at least
-    ceil(N / r) - 1 label gaps of size >= 2 are forced on top of the N - 1
-    unit steps: rn >= N + ceil(N / r) - 1.
-    """
-    if run_length < 1 or run_length > vertex_count:
-        raise ValueError(
-            f"run length must be in 1..{vertex_count}, got {run_length}"
-        )
-    return vertex_count + math.ceil(vertex_count / run_length) - 1

@@ -11,12 +11,15 @@ Every lower bound comes from one climb table (_ClimbTable): m[w] is the
 least greedy climb f(x_w) - f(x_1) over w distinct vertices, and any s
 vertices consecutive in label order climb at least C(s).  The run search
 gives m[w] = w - 1 for w <= r and m[r + 1] >= r + 1, so 1 + C(N) is at least
-jump_lower_bound(N, r); search_orderings fills w = r + 1, r + 2, ... exactly.
-An incumbent of span 1 + C(N) is optimal with no search nodes; one of span N
-needs no run search.  Below the root, the branch and bound is the same
-search at w = N: a vertex at depth d is kept only when its label is below
-bound - C(N - d).  It is not started once the deadline has passed, and a
-result that is not optimal carries 1 + C(N) as its proven lower_bound.
+the jump bound N + ceil(N / r) - 1; search_orderings fills w = r + 1, r + 2,
+... exactly.  An incumbent of span 1 + C(N) is optimal with no search nodes;
+one of span N needs no run search.  Below the root, the branch and bound is
+the same search at w = N: a vertex at depth d is kept only when its label is
+below bound - C(N - d).  Every search of size vertices stops at a leaf
+labeled 1 + C(size), which no ordering undercuts, so the branch and bound
+ends as soon as its incumbent meets the root bound.  It is not started once
+the deadline has passed, and a result that is not optimal carries 1 + C(N)
+as its proven lower_bound.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ class SolverError(RuntimeError):
 class SolverConfig:
     node_budget: int = 5_000_000
     time_budget: float = 300.0
-    symmetry_reduction: bool = True
 
     def __post_init__(self):
         if self.node_budget < 1:
@@ -81,10 +83,12 @@ class _ClimbTable:
                    for w, m in enumerate(self.past_run, self.run + 1))
 
 
-def _least_last_label(g, table, size, best, stop_at, **search):
+def _least_last_label(g, table, size, best, **search):
     """Least last label below best of size vertices: search_orderings under the
-    ceiling best - C(size - d) at depth d, ended by a leaf labeled stop_at or
-    less.  Returns (best, its labeling or None, nodes, reason)."""
+    ceiling best - C(size - d) at depth d, ended by a leaf labeled 1 + C(size),
+    the least any ordering can reach.  Returns (best, its labeling or None,
+    nodes, reason)."""
+    floor = 1 + table.climb(size)
     ceiling = [best - table.climb(size - d) for d in range(size)]
     found = None
 
@@ -92,7 +96,7 @@ def _least_last_label(g, table, size, best, stop_at, **search):
         nonlocal best, found
         ceiling[:] = [c - (best - labels[-1]) for c in ceiling]
         best, found = labels[-1], dict(zip(order, labels))
-        return best <= stop_at
+        return best <= floor
 
     nodes, _, stop = search_orderings(g, ceiling, on_leaf, **search)
     return best, found, nodes, stop
@@ -117,7 +121,7 @@ def _climb_table(g: HammingGraph, bound: float, deadline: float, largest: int | 
             break
         # m[w] <= m[w - 1] + diam, and no w vertices climb less than C(w)
         best, _, _, stop = _least_last_label(
-            g, table, w, table.least(w - 1) + g.diameter + 2, 1 + table.climb(w),
+            g, table, w, table.least(w - 1) + g.diameter + 2,
             node_budget=_RUN_SEARCH_CAP, deadline=deadline)
         if stop not in ("exhausted", "stopped"):
             break
@@ -153,10 +157,11 @@ def _initial_incumbent(g: HammingGraph, deadline: float) -> tuple[RadioLabeling,
 def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
     """Exact radio number of g, with a labeling of that span as witness.
 
-    optimal is True only when the search space was exhausted under the
-    pruning bound within the configured budgets; on budget exhaustion the
-    incumbent is still a valid labeling, so rn is never under-reported, and
-    lower_bound is the proven root bound.
+    optimal is True only when, within the configured budgets, the search
+    space was exhausted under the pruning bound or an ordering met the root
+    bound 1 + C(N); on budget exhaustion the incumbent is still a valid
+    labeling, so rn is never under-reported, and lower_bound is the proven
+    root bound.
     """
     cfg = config or SolverConfig()
     started = time.perf_counter()
@@ -172,13 +177,12 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
         stop = "time_budget"  # the run search or the table used up the time budget
     elif bound > lower_bound:
         bound, found, nodes, stop = _least_last_label(
-            g, table, n, bound, 0, node_budget=cfg.node_budget, deadline=deadline,
-            symmetry=cfg.symmetry_reduction)
+            g, table, n, bound, node_budget=cfg.node_budget, deadline=deadline)
         best_lab = found or best_lab
     report = validate(g, best_lab)
     if not report.valid or report.span != bound:
         raise SolverError(f"internal error: witness invalid for {g}")
-    optimal = stop == "exhausted"
+    optimal = stop in ("exhausted", "stopped")
     return SolveResult(
         rn=bound,
         witness=best_lab,

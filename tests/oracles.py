@@ -151,6 +151,13 @@ def naive_max_run(sizes, limit=None):
     return best
 
 
+def jump_lower_bound(vertex_count, run_length):
+    """rn >= N + ceil(N / r) - 1 for a graph with no run of more than r
+    consecutive labels: the N labels split into at least ceil(N / r) runs,
+    and each gap between two runs is at least 2."""
+    return vertex_count + math.ceil(vertex_count / run_length) - 1
+
+
 def least_climbs(sizes, largest):
     """[m[1], ..., m[largest]]: m[w] is the least greedy climb
     labels[-1] - labels[0] over every sequence of w distinct vertices.

@@ -16,7 +16,6 @@ from radiohamming import (
     build_ordering,
     check_graceful,
     construction_params,
-    jump_lower_bound,
     labeling_22n,
     labeling_233,
     max_consecutive_run,
@@ -29,6 +28,7 @@ from radiohamming import (
     verify_bijection,
 )
 from radiohamming.cli import main as cli_main
+from radiohamming.solver import _ClimbTable
 
 import oracles
 
@@ -162,9 +162,11 @@ def test_criterion_6_run_length_claims(capsys):
         assert max_consecutive_run(HammingGraph((2, 3, 3))) == 6
         for n in range(2, 7):
             assert max_consecutive_run(HammingGraph((2, 2, n))) == 2, n
-        assert jump_lower_bound(18, 6) == 20
+        # the solver's root bound from a run length alone is the jump bound
+        assert 1 + _ClimbTable(18, 6).climb(18) == oracles.jump_lower_bound(18, 6) == 20
         for n in range(1, 13):
-            assert jump_lower_bound(4 * n, 2) == 6 * n - 1, n
+            root = 1 + _ClimbTable(4 * n, 2).climb(4 * n)
+            assert root == oracles.jump_lower_bound(4 * n, 2) == 6 * n - 1, n
 
 
 def test_criterion_7_oracle_consistency(capsys):

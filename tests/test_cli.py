@@ -10,6 +10,7 @@ import pytest
 
 from radiohamming import (
     HammingGraph,
+    SolverConfig,
     build_ordering,
     construction_params,
     labeling_233,
@@ -277,6 +278,18 @@ class TestSolve:
         payload = json.loads(out)
         assert payload["optimal"] is False
 
+    def test_solve_stops_at_the_root_bound(self, tmp_path, capsys):
+        # 303 nodes reach a span-12 ordering of 3x4, which meets rn >= N
+        code, out, _ = run_cli(
+            ["solve", "3x4", "--node-budget", "303", "--witness-out", str(tmp_path / "w.csv")],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rn"] == payload["lower_bound"] == 12
+        assert payload["optimal"] is True
+        assert payload["nodes_explored"] == 303
+
     def test_solve_10x10x11_certifies_at_root(self, tmp_path, capsys):
         witness = tmp_path / "w.csv"
         code, out, _ = run_cli(
@@ -379,26 +392,14 @@ class TestSweep:
         assert code == 2
 
 
-def test_env_budgets_feed_parser_defaults(monkeypatch):
+def test_budget_defaults_come_from_solver_config():
     from radiohamming.cli import build_parser
 
-    monkeypatch.setenv("RADIOHAMMING_NODE_BUDGET", "1234")
-    monkeypatch.setenv("RADIOHAMMING_TIME_BUDGET", "7.5")
     args = build_parser().parse_args(["solve", "2x2"])
-    assert args.node_budget == 1234
-    assert args.time_budget == 7.5
+    assert args.node_budget == SolverConfig.node_budget
+    assert args.time_budget == SolverConfig.time_budget
     args = build_parser().parse_args(["solve", "2x2", "--node-budget", "9"])
     assert args.node_budget == 9
-
-
-@pytest.mark.parametrize(
-    "name,value", [("RADIOHAMMING_NODE_BUDGET", "abc"), ("RADIOHAMMING_TIME_BUDGET", "x.y")]
-)
-def test_malformed_env_budget_is_a_usage_error(name, value, monkeypatch, capsys):
-    monkeypatch.setenv(name, value)
-    code, _, err = run_cli(["solve", "2x2"], capsys)
-    assert code == 2
-    assert err.startswith(f"error: {name} must be")
 
 
 def test_permutation_recorded_in_json(capsys):

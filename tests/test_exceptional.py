@@ -9,7 +9,6 @@ from radiohamming import (
     RunSearchBudgetError,
     constructive_ordering,
     formula_sizes,
-    jump_lower_bound,
     labeling_22n,
     labeling_233,
     max_consecutive_run,
@@ -180,8 +179,10 @@ class TestMaxConsecutiveRun:
     def test_22n_admits_two_but_not_three(self, n):
         assert max_consecutive_run(HammingGraph((2, 2, n))) == 2
 
-    def test_complete_graph_runs_everything(self):
-        assert max_consecutive_run(HammingGraph((3,))) == 3
+    @pytest.mark.parametrize("sizes", [(1,), (3,), (7,)])
+    def test_complete_graph_runs_everything(self, sizes):
+        # no window constraints: the search runs through every vertex
+        assert max_consecutive_run(HammingGraph(sizes)) == sizes[0]
 
     def test_matches_plain_search_on_small_graphs(self):
         for sizes in [(2, 2), (2, 3), (2, 2, 2), (2, 2, 3), (3, 3)]:
@@ -243,18 +244,14 @@ class TestSearchOrderings:
 
 
 class TestJumpLowerBound:
+    # the run lengths the search finds, put into the jump bound of
+    # tests/oracles.py, give the closed form of both exceptional families
     def test_pinned_values(self):
-        assert jump_lower_bound(18, 6) == 20
-        assert jump_lower_bound(5, 5) == 5
-        # a single vertex is forced into no jump, whatever its run
-        assert jump_lower_bound(1, min(99, 1)) == 1
+        assert oracles.jump_lower_bound(18, max_consecutive_run(HammingGraph((2, 3, 3)))) == 20
+        assert oracles.jump_lower_bound(5, max_consecutive_run(HammingGraph((5,)))) == 5
+        assert oracles.jump_lower_bound(1, max_consecutive_run(HammingGraph((1,)))) == 1
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_two_run_family(self, n):
-        assert jump_lower_bound(4 * n, 2) == 6 * n - 1
-
-    def test_rejects_bad_run_length(self):
-        with pytest.raises(ValueError):
-            jump_lower_bound(5, 0)
-        with pytest.raises(ValueError):
-            jump_lower_bound(5, 6)
+        run = max_consecutive_run(graph_22n(n))
+        assert oracles.jump_lower_bound(4 * n, run) == radio_number_formula(2, 2, n).value

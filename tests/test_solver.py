@@ -13,7 +13,6 @@ import radiohamming.solver as solver_mod
 from radiohamming import (
     HammingGraph,
     SolverConfig,
-    jump_lower_bound,
     max_consecutive_run,
     radio_number_formula,
     solve,
@@ -54,7 +53,7 @@ class TestMinimalRemainingIncrement:
             for r in range(1, n + 1):
                 table = solver_mod._ClimbTable(n, r)
                 for s in range(1, n + 1):
-                    assert table.climb(s) == jump_lower_bound(s, min(r, s)) - 1
+                    assert table.climb(s) == oracles.jump_lower_bound(s, min(r, s)) - 1
 
 
 class TestClimbTable:
@@ -78,12 +77,12 @@ class TestClimbTable:
         g = HammingGraph(sizes)
         result = solve(g, SolverConfig(node_budget=2000))
         assert not result.optimal
-        assert result.lower_bound >= jump_lower_bound(g.vertex_count, max_consecutive_run(g))
+        assert result.lower_bound >= oracles.jump_lower_bound(g.vertex_count, max_consecutive_run(g))
         assert validate(g, result.witness).valid
 
     def test_k2_to_the_fifth_bound_beats_the_jump_bound(self):
         result = solve(HammingGraph((2,) * 5), SolverConfig(node_budget=2000))
-        assert result.lower_bound >= 62 > jump_lower_bound(32, 2)
+        assert result.lower_bound >= 62 > oracles.jump_lower_bound(32, 2)
 
 
 class TestSolveExactValues:
@@ -279,11 +278,17 @@ class TestNoRecursionPerVertex:
 class TestSolverInvariants:
     @pytest.mark.parametrize("sizes", GRAPHS_UP_TO_12)
     def test_symmetry_reduction_changes_nothing(self, sizes):
+        # the search fixes the first vertex and the first use of each
+        # coordinate value; it still finds rn, taken from outside the
+        # library: n for K_n, mn for K_m x K_n (a Hamiltonian path of the
+        # complement is a consecutive labeling) except C_4, and the paper's
+        # closed form for 2x2x2 and 2x2x3
+        expected = {(2, 2): 5, (2, 2, 2): 11, (2, 2, 3): 17}.get(sizes, math.prod(sizes))
         g = HammingGraph(sizes)
-        with_sym = solve(g)
-        without = solve(g, SolverConfig(symmetry_reduction=False))
-        assert with_sym.optimal and without.optimal
-        assert with_sym.rn == without.rn
+        result = solve(g)
+        assert result.optimal
+        assert result.rn == expected
+        assert oracles.radio_valid(sizes, result.witness)
 
     @pytest.mark.parametrize("sizes", [(2, 2, 2), (2, 3, 3), (3, 3), (2, 2, 4)])
     def test_formula_agreement_where_applicable(self, sizes):
@@ -298,7 +303,24 @@ class TestSolverInvariants:
         run = max_consecutive_run(g)
         result = solve(g)
         assert result.optimal
-        assert jump_lower_bound(g.vertex_count, run) <= result.rn
+        assert oracles.jump_lower_bound(g.vertex_count, run) <= result.rn
+
+    @pytest.mark.parametrize("sizes,budget", [((2, 3), 10), ((3, 3), 94), ((3, 4), 303), ((4, 4), 435)])
+    def test_stops_at_the_root_bound(self, sizes, budget):
+        # the branch and bound ends at the first ordering of span N, within
+        # exactly the nodes it takes to reach one
+        g = HammingGraph(sizes)
+        result = solve(g, SolverConfig(node_budget=budget))
+        assert result.optimal
+        assert result.rn == result.lower_bound == g.vertex_count
+        assert result.nodes_explored == budget
+
+    @pytest.mark.parametrize("sizes", GRAPHS_UP_TO_12 + [(2, 2, 2, 2)])
+    def test_meeting_the_bound_is_optimal(self, sizes):
+        g = HammingGraph(sizes)
+        for budget in (1, 10, 100, 1000):
+            result = solve(g, SolverConfig(node_budget=budget))
+            assert result.optimal or result.rn > result.lower_bound
 
     def test_budget_exhaustion_returns_valid_incumbent(self):
         g = HammingGraph((2, 2, 2, 2))
