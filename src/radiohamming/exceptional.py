@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import operator
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -222,13 +223,19 @@ def search_orderings(
     """Depth-first search over vertex orderings of g with greedy labels.
 
     A vertex placed at depth d gets next_label against the vertices before
-    it and is kept only when that label is below ceiling[d].  Candidates
-    are tried in lexicographic order.  A leaf has len(ceiling) vertices (all N
-    for a complete ordering) and is passed to on_leaf(order, labels), which
-    may lower ceiling in place; a true return stops the search.  The first
-    vertex is (1, ..., 1), and a coordinate value appears only after all
-    smaller values of its factor, which loses nothing: Hamming graphs are
-    vertex transitive and values within a factor are interchangeable.
+    it and is kept only when that label is below ceiling[d].  Each node's
+    children are entered in increasing (label, vertex index) order, so the
+    best labels are tried first.  This is lazy: a child labeled one above
+    its parent, the least possible, is entered as soon as the scan of
+    candidates meets it, and the scan resumes after it on backtrack; the
+    other children are kept in the frame, 8 bytes each, sorted when the
+    scan ends and checked against ceiling again as they are entered.  A
+    leaf has len(ceiling) vertices (all N for a complete ordering) and is
+    passed to on_leaf(order, labels), which may lower ceiling in place; a
+    true return stops the search.  The first vertex is (1, ..., 1), and a
+    coordinate value appears only after all smaller values of its factor,
+    which loses nothing: Hamming graphs are vertex transitive and values
+    within a factor are interchangeable.
 
     Each candidate that passes the used and symmetry filters is a node.
     The search stops after node_budget nodes or past deadline (perf_counter
@@ -240,6 +247,7 @@ def search_orderings(
     diam = g.diameter
     sizes = list(g.factor_sizes)
     k = len(sizes)
+    leaf_depth = len(ceiling) - 1
     # One-hot coordinate masks, made on a vertex's first use: the distance is
     # the number of coordinates minus the bits two masks share.
     offsets = [sum(sizes[:i]) - 1 for i in range(k)]
@@ -247,51 +255,64 @@ def search_orderings(
     placed: list[int] = []  # vertex indices in label order
     labels: list[int] = []
     used = [False] * n
-    # a frame per depth: [next candidate index, value limits or None if none bind]
-    stack = [[0, [1] * k]]
+    # a frame per depth: [next candidate index (None once scanned), value limits
+    # or None if none bind, children not yet entered as label * n + index]
+    stack = [[0, [1] * k, array("q")]]
     nodes = deepest = 0
     while stack:
         depth = len(placed)
         frame = stack[-1]
-        limit = frame[1]
-        for ci in range(frame[0], n):
-            if used[ci]:
-                continue
-            cand = verts[ci]
-            if limit is not None and any(map(operator.gt, cand, limit)):
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                return nodes, deepest, "node_budget"
-            if nodes % _DEADLINE_CHECK_INTERVAL == 0 and time.perf_counter() > deadline:
-                return nodes, deepest, "time_budget"
-            mask = masks[ci]
-            if mask is None:
-                mask = masks[ci] = sum(1 << (o + c) for o, c in zip(offsets, cand))
-            label = next_label(
-                labels, lambda j: k - (mask & masks[placed[j]]).bit_count(), diam
-            )
-            if label >= ceiling[depth]:
-                continue
-            if depth >= deepest:
-                deepest = depth + 1
-            if depth + 1 == len(ceiling):
-                if on_leaf([verts[i] for i in placed] + [cand], labels + [label]):
-                    return nodes, deepest, "stopped"
-                continue
-            frame[0] = ci + 1
-            placed.append(ci)
-            labels.append(label)
-            used[ci] = True
-            if limit is not None:
-                limit = [c + 1 if c == m < s else m for m, c, s in zip(limit, cand, sizes)]
-            stack.append([0, None if limit == sizes else limit])
-            break
-        else:
+        limit, later = frame[1], frame[2]
+        least = labels[-1] + 1 if labels else 1
+        child = None
+        if frame[0] is not None:
+            for ci in range(frame[0], n):
+                if used[ci]:
+                    continue
+                cand = verts[ci]
+                if limit is not None and any(map(operator.gt, cand, limit)):
+                    continue
+                nodes += 1
+                if nodes > node_budget:
+                    return nodes, deepest, "node_budget"
+                if nodes % _DEADLINE_CHECK_INTERVAL == 0 and time.perf_counter() > deadline:
+                    return nodes, deepest, "time_budget"
+                mask = masks[ci]
+                if mask is None:
+                    mask = masks[ci] = sum(1 << (o + c) for o, c in zip(offsets, cand))
+                label = next_label(
+                    labels, lambda j: k - (mask & masks[placed[j]]).bit_count(), diam
+                )
+                if label >= ceiling[depth]:
+                    continue
+                if depth >= deepest:
+                    deepest = depth + 1
+                if label > least:
+                    later.append(label * n + ci)
+                    continue
+                frame[0], child = ci + 1, ci
+                break
+            else:
+                frame[0] = None
+                later = frame[2] = array("q", sorted(later, reverse=True))
+        # the least waiting child, unless on_leaf has lowered ceiling below it
+        if child is None and later and later[-1] // n < ceiling[depth]:
+            label, child = divmod(later.pop(), n)
+        if child is None:
             stack.pop()
             if placed:
                 used[placed.pop()] = False
                 labels.pop()
+        elif depth == leaf_depth:
+            if on_leaf([verts[i] for i in placed] + [verts[child]], labels + [label]):
+                return nodes, deepest, "stopped"
+        else:
+            placed.append(child)
+            labels.append(label)
+            used[child] = True
+            if limit is not None:
+                limit = [c + 1 if c == m < s else m for m, c, s in zip(limit, verts[child], sizes)]
+            stack.append([0, None if limit == sizes else limit, array("q")])
     return nodes, deepest, "exhausted"
 
 

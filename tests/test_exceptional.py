@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -222,6 +223,14 @@ class TestMaxConsecutiveRun:
         with pytest.raises(ValueError):
             max_consecutive_run(HammingGraph((2, 2)), cap=0)
 
+    def test_capped_run_on_k6_to_the_fourth(self):
+        # under the run ceiling every child that passes has the least label,
+        # so entering children best label first keeps the plain-order search
+        # node for node; 1197 is what that search reaches in 200,000 nodes
+        with pytest.raises(RunSearchBudgetError) as err:
+            max_consecutive_run(HammingGraph((6, 6, 6, 6)), cap=200_000)
+        assert err.value.best_found == 1197
+
 
 class TestSearchOrderings:
     @pytest.mark.parametrize("depth", [1, 3, 5])
@@ -241,6 +250,48 @@ class TestSearchOrderings:
         for order, labels in leaves:
             assert len(order) == len(set(order)) == len(labels) == depth
             assert labels == oracles.greedy_labels((2, 2, 2), order)
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (2, 2, 2)])
+    def test_children_best_label_first(self, sizes):
+        # every node's children come in increasing (label, vertex index)
+        # order, so the leaves come in increasing lexicographic order of
+        # their (label, vertex index) sequences; where two leaves part, the
+        # later one's label is never lower
+        g = HammingGraph(sizes)
+        index = {v: i for i, v in enumerate(g.vertices())}
+        keys = []
+
+        def on_leaf(order, labels):
+            keys.append([(label, index[v]) for v, label in zip(order, labels)])
+
+        _, _, stop = search_orderings(
+            g, [math.inf] * g.vertex_count, on_leaf, node_budget=10**6, deadline=math.inf
+        )
+        assert stop == "exhausted"
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        # only the order changes: every greedy ordering that passes the
+        # symmetry filters is still a leaf
+        assert len(keys) == {(2, 3): 60, (2, 2, 2): 5040}[sizes]
+
+    def test_frames_take_8_bytes_per_node(self):
+        # children not yet entered are packed 8 bytes each; diving best
+        # label first on K_6^4 leaves most scanned children waiting in a
+        # frame, so Python ints (about 40 bytes each) or a copy of N entries
+        # per frame would break this bound
+        g = HammingGraph((6, 6, 6, 6))
+        n = g.vertex_count
+        budget = 50_000
+        tracemalloc.start()
+        try:
+            _, _, stop = search_orderings(
+                g, [d + 10 for d in range(n)], lambda order, labels: True,
+                node_budget=budget, deadline=math.inf,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stop == "node_budget"
+        assert peak < 8 * budget + 500 * n
 
 
 class TestJumpLowerBound:

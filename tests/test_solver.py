@@ -74,8 +74,9 @@ class TestClimbTable:
 
     @pytest.mark.parametrize("sizes", [(2, 2, 2, 3), (2, 2, 3, 3), (2, 3, 3, 3), (2, 2, 2, 2, 2)])
     def test_lower_bound_never_below_the_jump_bound(self, sizes):
+        # 200 nodes stop short of the 253 and 433 that certify 2x2x2x3 and K_2^5
         g = HammingGraph(sizes)
-        result = solve(g, SolverConfig(node_budget=2000))
+        result = solve(g, SolverConfig(node_budget=200))
         assert not result.optimal
         assert result.lower_bound >= oracles.jump_lower_bound(g.vertex_count, max_consecutive_run(g))
         assert validate(g, result.witness).valid
@@ -94,6 +95,11 @@ class TestSolveExactValues:
             ((2, 2, 3), 17),
             ((2, 2, 4), 23),
             ((2, 2), 5),
+            # no closed form: the branch and bound meets the climb table's
+            # root bound 1 + C(N)
+            ((2, 2, 2, 3), 35),
+            ((2,) * 5, 62),
+            ((2,) * 6, 157),
         ],
     )
     def test_certified_exceptional_instances(self, sizes, expected):
@@ -104,6 +110,7 @@ class TestSolveExactValues:
         report = validate(HammingGraph(sizes), result.witness)
         assert report.valid
         assert report.span == expected
+        assert oracles.radio_valid(sizes, result.witness)
 
     def test_single_vertex(self):
         result = solve(HammingGraph((1,)))
@@ -151,6 +158,8 @@ class TestK2ToTheFourth:
         assert time.perf_counter() - started < 5
         assert result.optimal
         assert result.rn == result.lower_bound == 30
+        # best labels first: 90,462 nodes in plain vertex order
+        assert result.nodes_explored <= 200
         assert max(result.witness.values()) == 30
         assert oracles.is_bijection(sizes, list(result.witness))
         assert oracles.radio_valid(sizes, result.witness)
@@ -305,7 +314,7 @@ class TestSolverInvariants:
         assert result.optimal
         assert oracles.jump_lower_bound(g.vertex_count, run) <= result.rn
 
-    @pytest.mark.parametrize("sizes,budget", [((2, 3), 10), ((3, 3), 94), ((3, 4), 303), ((4, 4), 435)])
+    @pytest.mark.parametrize("sizes,budget", [((2, 3), 10), ((3, 3), 48), ((3, 4), 303), ((4, 4), 197)])
     def test_stops_at_the_root_bound(self, sizes, budget):
         # the branch and bound ends at the first ordering of span N, within
         # exactly the nodes it takes to reach one
@@ -323,8 +332,9 @@ class TestSolverInvariants:
             assert result.optimal or result.rn > result.lower_bound
 
     def test_budget_exhaustion_returns_valid_incumbent(self):
+        # 100 nodes stop short of the 120 that certify K_2^4
         g = HammingGraph((2, 2, 2, 2))
-        result = solve(g, SolverConfig(node_budget=200))
+        result = solve(g, SolverConfig(node_budget=100))
         assert not result.optimal
         report = validate(g, result.witness)
         assert report.valid
