@@ -6,8 +6,6 @@ from .exceptional import (
     RunSearchBudgetError,
     constructive_ordering,
     formula_sizes,
-    labeling_22n,
-    labeling_233,
     max_consecutive_run,
     ordering_22n,
     ordering_233,
@@ -36,13 +34,8 @@ from .labeling import (
 )
 from .ordering import (
     ConstructionError,
-    ConstructionParams,
-    MatrixBlock,
-    Seed,
     build_blocks,
     build_ordering,
-    construction_params,
-    seed,
 )
 from .solver import (
     SolveResult,
@@ -59,13 +52,10 @@ __all__ = [
     "GracefulReport",
     "HammingGraph",
     "LabelingError",
-    "MatrixBlock",
     "ConstructionError",
-    "ConstructionParams",
     "RadioLabeling",
     "RnFormulaResult",
     "RunSearchBudgetError",
-    "Seed",
     "SolveResult",
     "SolverConfig",
     "SolverError",
@@ -75,12 +65,9 @@ __all__ = [
     "build_blocks",
     "build_ordering",
     "check_graceful",
-    "construction_params",
     "constructive_ordering",
     "format_vertex",
     "formula_sizes",
-    "labeling_22n",
-    "labeling_233",
     "max_consecutive_run",
     "ordering_22n",
     "ordering_233",
@@ -88,7 +75,6 @@ __all__ = [
     "parse_vertex",
     "radio_number_formula",
     "read_labeling_csv",
-    "seed",
     "solve",
     "span_of_ordering",
     "validate",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -31,7 +32,7 @@ from .labeling import (
     validate,
     write_labeling_csv,
 )
-from .ordering import ConstructionError, build_ordering, construction_params
+from .ordering import ConstructionError, build_ordering
 from .solver import SolveResult, SolverConfig, SolverError, solve
 
 EXIT_OK = 0
@@ -105,7 +106,7 @@ def cmd_order(args) -> int:
     if permutation:
         print(f"note: factors sorted to {g} (isomorphic to {args.spec})", file=sys.stderr)
     ordering = build_ordering(*g.factor_sizes)
-    rows = construction_params(*g.factor_sizes).rows_per_block
+    rows = math.lcm(*g.factor_sizes)
     graceful = check_graceful(g, ordering).graceful
     if not graceful:
         print(

@@ -28,11 +28,10 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .graphs import HammingGraph, Vertex
-from .labeling import RadioLabeling, next_label, span_of_ordering
+from .graphs import HammingGraph, Vertex, check_materializable
+from .labeling import next_label
 from .ordering import build_ordering
 
-DEFAULT_RUN_CAP = 1_000_000
 _DEADLINE_CHECK_INTERVAL = 256  # search nodes between clock reads
 
 
@@ -132,14 +131,9 @@ _ORDER_233: tuple[Vertex, ...] = (
 )
 
 
-def labeling_233() -> RadioLabeling:
-    """Radio labeling of K_2 x K_3 x K_3 with span exactly 20: the tight
-    labeling of ordering_233()."""
-    return span_of_ordering(HammingGraph((2, 3, 3)), _ORDER_233)[0]
-
-
 def ordering_233() -> list[Vertex]:
-    """Vertices of the span-20 labeling in label order."""
+    """Ordering of K_2 x K_3 x K_3 whose tight labeling (span_of_ordering)
+    has span 20."""
     return list(_ORDER_233)
 
 
@@ -189,27 +183,19 @@ def ordering_22n(n: int) -> list[Vertex]:
     For n = 1 the graph degenerates to K_2 x K_2 and the vertices are
     two-coordinate.  Otherwise the ordering grows from nothing (even n) or
     the n = 3 base (odd n) by appending one eight-vertex block per two new
-    K_n values.
+    K_n values.  Its tight labeling (span_of_ordering) gives position i the
+    i-th positive integer not divisible by 3 (1, 2, 4, 5, 7, 8, ...).
+    Raises GraphError above graphs.MAX_MATERIALIZED_VERTICES vertices.
     """
     if n < 1:
         raise FormulaDomainError(f"need n >= 1, got {n}")
+    check_materializable(4 * n, f"2x2x{n}")
     if n == 1:
         return list(_ORDER_2X2)
     order = list(_ORDER_2X2X3) if n % 2 else []
     for n_prev in range(3 if n % 2 else 0, n, 2):
         order.extend(_append_block(n_prev))
     return order
-
-
-def labeling_22n(n: int) -> RadioLabeling:
-    """Radio labeling of K_2 x K_2 x K_n with span exactly 6n - 1.
-
-    The tight labeling of ordering_22n(n): position i gets the i-th positive
-    integer not divisible by 3 (1, 2, 4, 5, 7, 8, ...), so position 4n
-    carries 6n - 1.
-    """
-    order = ordering_22n(n)
-    return span_of_ordering(HammingGraph((2, 2) if n == 1 else (2, 2, n)), order)[0]
 
 
 def search_orderings(
@@ -317,7 +303,7 @@ def search_orderings(
 
 
 def max_consecutive_run(
-    g: HammingGraph, cap: int = DEFAULT_RUN_CAP, *, deadline: float | None = None
+    g: HammingGraph, cap: int = 1_000_000, *, deadline: float | None = None
 ) -> int:
     """Longest sequence of distinct vertices that could carry consecutive
     labels in some radio labeling of g.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 Vertex = tuple[int, ...]
 
-# Refuse to materialize vertex lists beyond this; distance queries stay fine.
+# Refuse to materialize vertex lists or orderings beyond this many vertices.
 MAX_MATERIALIZED_VERTICES = 10_000_000
 
 _VERTEX_RE = re.compile(r"^\(\s*\d+\s*(,\s*\d+\s*)*\)$")
@@ -35,9 +35,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def check_materializable(count: int, graph) -> None:
+    """Raise GraphError if count vertices of graph are too many to list."""
+    if count > MAX_MATERIALIZED_VERTICES:
+        raise GraphError(f"refusing to materialize {count} vertices of {graph}")
+
+
 def hamming(a: Vertex, b: Vertex) -> int:
-    """Number of coordinates in which a and b differ, for vertices already
-    checked to belong to one graph (HammingGraph.distance checks them)."""
+    """Distance of a and b, the number of coordinates in which they differ,
+    for vertices already checked to belong to one graph
+    (HammingGraph.check_vertex)."""
     return sum(map(operator.ne, a, b))
 
 
@@ -80,25 +87,9 @@ class HammingGraph:
                     f"coordinate {coord!r} of vertex {v!r} outside 1..{size}"
                 )
 
-    def is_vertex(self, v: Vertex) -> bool:
-        try:
-            self.check_vertex(v)
-        except GraphError:
-            return False
-        return True
-
-    def distance(self, a: Vertex, b: Vertex) -> int:
-        """Number of coordinates in which a and b differ."""
-        self.check_vertex(a)
-        self.check_vertex(b)
-        return hamming(a, b)
-
     def vertices(self) -> list[Vertex]:
         """All vertices in lexicographic order."""
-        if self.vertex_count > MAX_MATERIALIZED_VERTICES:
-            raise GraphError(
-                f"refusing to materialize {self.vertex_count} vertices of {self}"
-            )
+        check_materializable(self.vertex_count, self)
         return list(itertools.product(*(range(1, s + 1) for s in self.factor_sizes)))
 
 

@@ -118,7 +118,8 @@ def _are_ints(values: Iterable) -> bool:
 
 
 def _are_vertices(g: HammingGraph, items: Collection[Vertex]) -> bool:
-    """True iff every item is a vertex of g: g.is_vertex, column by column."""
+    """True iff every item is a vertex of g: g.check_vertex's test, column
+    by column."""
     sizes = g.factor_sizes
     if not (
         all(map(isinstance, items, repeat(tuple)))

@@ -1,124 +1,49 @@
 """Consecutive vertex orderings for 3-factor Hamming graphs.
 
 For K_{n1} x K_{n2} x K_{n3} with all sizes >= 2, the ordering is generated
-in blocks.  Each block is an L x 3 matrix of coordinates, L = lcm(n1,n2,n3),
-whose rows advance all three coordinates simultaneously by the cyclic shifts
-rho, sigma, tau (the +1 cycles on 1..n1, 1..n2, 1..n3).  A block is therefore
-determined by its first row, its seed.  Block 1 is seeded at (1,1,1); block k
-keeps the first column fixed and either advances the whole middle column by
-sigma (whenever k = 1 mod lambda) or the whole last column by tau, where
-lambda = n3 * lcm(n1,n2) / lcm(n1,n2,n3).  Flattening the blocks row-major
-lists every vertex exactly once, and away from the two exceptional families
-(2,2,n) and (2,3,3) the resulting consecutive labeling is a radio labeling,
-making the graph radio graceful.
-
-The seed of block k also has the closed form
-
-    seed(k) = (1, b, tau^((b-1)(lambda-1) + c - 1)(1))
-
-with k = (b-1) * lambda + c and 1 <= c <= lambda.  It is computed here
-independently of the block recurrence so the two can be checked against each
-other.
+in blocks of L = lcm(n1,n2,n3) rows, whose rows advance all three coordinates
+simultaneously by the cyclic shifts rho, sigma, tau (the +1 cycles on 1..n1,
+1..n2, 1..n3).  A block is therefore determined by its first row, its seed.
+Block 1 is seeded at (1,1,1); block k keeps the first column fixed and
+either advances the whole middle column by sigma (whenever k = 1 mod lambda)
+or the whole last column by tau, where lambda = n3 * lcm(n1,n2) / L.
+Flattening the blocks row-major lists every vertex exactly once, and away
+from the two exceptional families (2,2,n) and (2,3,3) the resulting
+consecutive labeling is a radio labeling, making the graph radio graceful.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .graphs import Vertex
+from .graphs import Vertex, check_materializable
 
 
 class ConstructionError(ValueError):
     """The ordering construction needs three factor sizes, all >= 2."""
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
-    """Derived quantities controlling the block construction."""
-
-    sizes: tuple[int, int, int]
-    rows_per_block: int  # lcm of the three sizes
-    block_count: int  # product of sizes / rows_per_block
-    blocks_per_middle: int  # lambda: blocks sharing one middle seed value
-    middle_count: int  # gcd(n1, n2): distinct middle values among seeds
-
-
-@dataclass(frozen=True)
-class MatrixBlock:
-    """One block of the ordering, stored as its three coordinate columns."""
-
-    index: int
-    first_col: tuple[int, ...]
-    mid_col: tuple[int, ...]
-    last_col: tuple[int, ...]
-
-    @property
-    def first_row(self) -> Vertex:
-        return (self.first_col[0], self.mid_col[0], self.last_col[0])
-
-    def rows(self) -> list[Vertex]:
-        return list(zip(self.first_col, self.mid_col, self.last_col))
-
-
-@dataclass(frozen=True)
-class Seed:
-    """First row of a block; it generates the block under the cyclic shifts."""
-
-    block_index: int
-    vertex: Vertex
-
-
-def _shift(value: int, size: int) -> int:
-    """+1 cyclic shift on {1, ..., size}."""
-    return value % size + 1
-
-
-def construction_params(n1: int, n2: int, n3: int) -> ConstructionParams:
+def build_blocks(n1: int, n2: int, n3: int) -> list[list[Vertex]]:
+    """All n1 * n2 * n3 / L blocks in order, each as its L rows, by the
+    column recurrence.  Raises ConstructionError for a size below 2, and
+    GraphError above graphs.MAX_MATERIALIZED_VERTICES vertices."""
     if min(n1, n2, n3) < 2:
         raise ConstructionError(
             f"construction needs all factor sizes >= 2, got {(n1, n2, n3)}"
         )
+    check_materializable(n1 * n2 * n3, f"{n1}x{n2}x{n3}")
     rows = math.lcm(n1, n2, n3)
-    block_count = n1 * n2 * n3 // rows
     lam = n3 * math.lcm(n1, n2) // rows
-    return ConstructionParams(
-        sizes=(n1, n2, n3),
-        rows_per_block=rows,
-        block_count=block_count,
-        blocks_per_middle=lam,
-        middle_count=math.gcd(n1, n2),
-    )
-
-
-def seed(params: ConstructionParams, k: int) -> Seed:
-    """Closed-form seed of block k, for 1 <= k <= block_count."""
-    if not 1 <= k <= params.block_count:
-        raise ConstructionError(
-            f"block index {k} outside 1..{params.block_count}"
-        )
-    lam = params.blocks_per_middle
-    b = (k - 1) // lam + 1
-    c = (k - 1) % lam + 1
-    n3 = params.sizes[2]
-    tau_power = (b - 1) * (lam - 1) + c - 1
-    return Seed(block_index=k, vertex=(1, b, tau_power % n3 + 1))
-
-
-def build_blocks(params: ConstructionParams) -> list[MatrixBlock]:
-    """All blocks, in order, via the column recurrence."""
-    n1, n2, n3 = params.sizes
-    rows = params.rows_per_block
-    first = tuple(r % n1 + 1 for r in range(rows))
-    mid = tuple(r % n2 + 1 for r in range(rows))
-    last = tuple(r % n3 + 1 for r in range(rows))
-    blocks = [MatrixBlock(1, first, mid, last)]
-    for k in range(2, params.block_count + 1):
-        if (k - 1) % params.blocks_per_middle == 0:
-            mid = tuple(_shift(v, n2) for v in mid)
+    first, mid, last = ([r % n + 1 for r in range(rows)] for n in (n1, n2, n3))
+    blocks = [list(zip(first, mid, last))]
+    for k in range(1, n1 * n2 * n3 // rows):
+        # L is a multiple of every size, so the +1 shift of a column's
+        # values is the rotation of the column by one row
+        if k % lam == 0:
+            mid = mid[1:] + mid[:1]
         else:
-            last = tuple(_shift(v, n3) for v in last)
-        blocks.append(MatrixBlock(k, first, mid, last))
+            last = last[1:] + last[:1]
+        blocks.append(list(zip(first, mid, last)))
     return blocks
 
 
@@ -128,8 +53,4 @@ def build_ordering(n1: int, n2: int, n3: int) -> list[Vertex]:
     Always a bijection onto the vertex set; the induced consecutive labeling
     is a radio labeling except for the families (2,2,n) and (2,3,3).
     """
-    params = construction_params(n1, n2, n3)
-    ordering: list[Vertex] = []
-    for block in build_blocks(params):
-        ordering.extend(block.rows())
-    return ordering
+    return [v for block in build_blocks(n1, n2, n3) for v in block]

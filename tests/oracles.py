@@ -169,3 +169,15 @@ def least_climbs(sizes, largest):
             for tail in itertools.permutations(rest, w - 1))
         for w in range(1, largest + 1)
     ]
+
+
+def block_seed(sizes, k):
+    """First row of block k (1-based) of the block construction for sorted
+    sizes (n1, n2, n3), by its closed form: with L = lcm(n1, n2, n3),
+    lambda = n3 * lcm(n1, n2) / L and k = (b - 1) * lambda + c for
+    1 <= c <= lambda, the seed is (1, b, tau^((b - 1)(lambda - 1) + c - 1)(1)),
+    tau being the +1 cycle on 1..n3."""
+    n1, n2, n3 = sizes
+    lam = n3 * math.lcm(n1, n2) // math.lcm(n1, n2, n3)
+    b, c = divmod(k - 1, lam)
+    return (1, b + 1, (b * (lam - 1) + c) % n3 + 1)

@@ -15,13 +15,10 @@ from radiohamming import (
     build_blocks,
     build_ordering,
     check_graceful,
-    construction_params,
-    labeling_22n,
-    labeling_233,
     max_consecutive_run,
     ordering_22n,
+    ordering_233,
     radio_number_formula,
-    seed,
     solve,
     span_of_ordering,
     validate,
@@ -102,18 +99,19 @@ def test_criterion_3_structural_properties(capsys):
     ):
         for triple in SWEEP_TRIPLES:
             a, b, c = triple
-            p = construction_params(a, b, c)
-            blocks = build_blocks(p)
-            seeds = [seed(p, k).vertex for k in range(1, p.block_count + 1)]
-            assert len(set(seeds)) == p.block_count, triple
+            rows_per_block = math.lcm(a, b, c)
+            block_count = a * b * c // rows_per_block
+            blocks = build_blocks(a, b, c)
+            assert len(blocks) == block_count, triple
+            seeds = [oracles.block_seed(triple, k) for k in range(1, block_count + 1)]
+            assert len(set(seeds)) == block_count, triple
             seed_set = set(seeds)
             gcd_ab = math.gcd(a, b)
             all_rows = []
-            for k, block in enumerate(blocks, start=1):
-                rows = block.rows()
+            for k, rows in enumerate(blocks, start=1):
                 assert rows[0] == seeds[k - 1], (triple, k)
-                assert len(set(rows)) == p.rows_per_block, (triple, k)
-                assert block.first_col == blocks[0].first_col, (triple, k)
+                assert len(rows) == len(set(rows)) == rows_per_block, (triple, k)
+                assert [r[0] for r in rows] == [r[0] for r in blocks[0]], (triple, k)
                 assert not (set(rows[1:]) & seed_set), (triple, k)
                 for row in rows:
                     if row[0] == 1:
@@ -147,11 +145,12 @@ def test_criterion_5_constructive_labelings(capsys):
     with criterion(
         capsys, 5, "explicit labelings: 2x3x3 span 20; 2x2xn span 6n-1 for n in 1..50", 5.0
     ):
-        report = validate(HammingGraph((2, 3, 3)), labeling_233())
+        g = HammingGraph((2, 3, 3))
+        report = validate(g, span_of_ordering(g, ordering_233())[0])
         assert report.valid and report.span == 20
         for n in range(1, 51):
             g = HammingGraph((2, 2) if n == 1 else (2, 2, n))
-            rep = validate(g, labeling_22n(n))
+            rep = validate(g, span_of_ordering(g, ordering_22n(n))[0])
             assert rep.valid and rep.span == 6 * n - 1, n
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,15 +12,17 @@ import pytest
 from radiohamming import (
     HammingGraph,
     SolverConfig,
+    build_blocks,
     build_ordering,
-    construction_params,
-    labeling_233,
+    ordering_22n,
     parse_vertex,
     read_labeling_csv,
-    seed,
+    span_of_ordering,
     validate,
 )
 from radiohamming.cli import main
+
+import oracles
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_ORDER = DATA / "ordering_3x3x6.csv"
@@ -38,13 +41,16 @@ BLOCK_IDS = [spec for spec, *_ in BLOCK_SPECS]
 
 
 def expected_blocks(sizes, block_count):
-    """build_ordering sliced every lcm rows; each block starts at its seed."""
+    """build_ordering sliced every lcm rows; these are build_blocks, and each
+    block starts at its seed."""
     ordering = build_ordering(*sizes)
     rows = math.lcm(*sizes)
     blocks = [ordering[i : i + rows] for i in range(0, len(ordering), rows)]
-    params = construction_params(*sizes)
+    assert blocks == build_blocks(*sizes)
     assert len(blocks) == block_count
-    assert [b[0] for b in blocks] == [seed(params, k).vertex for k in range(1, block_count + 1)]
+    assert [b[0] for b in blocks] == [
+        oracles.block_seed(sizes, k) for k in range(1, block_count + 1)
+    ]
     return blocks
 
 
@@ -130,6 +136,27 @@ class TestOrder:
         assert code == 2
 
 
+class TestSizeGuard:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["order", "1000x1000x1001"],
+            ["label", "2x2x10000000"],
+            ["rn", "1000x1000x1001", "--certify"],
+            ["solve", "1000x1000x1001"],
+        ],
+        ids=" ".join,
+    )
+    def test_huge_spec_is_usage_error(self, args, capsys):
+        # each of these would allocate 10^7 to 10^9 vertex tuples
+        started = time.perf_counter()
+        code, out, err = run_cli(args, capsys)
+        assert time.perf_counter() - started < 0.5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: refusing to materialize")
+
+
 class TestVerify:
     def test_golden_labeling_is_valid(self, capsys):
         code, out, _ = run_cli(["verify", "2x3x3", str(GOLDEN_LABELING)], capsys)
@@ -140,7 +167,7 @@ class TestVerify:
         assert payload["violations"] == []
 
     def test_tampered_label_collides(self, tmp_path, capsys):
-        labeling = labeling_233()
+        labeling = read_labeling_csv(str(GOLDEN_LABELING))
         labeling[(2, 3, 2)] = 19  # now collides with (1,2,1) at label 19
         path = tmp_path / "bad.csv"
         with open(path, "w") as fh:
@@ -223,10 +250,11 @@ class TestRn:
         # every in-domain instance certifies at the root, so exhaustion is
         # simulated to pin down the exit code contract
         import radiohamming.cli as cli_mod
-        from radiohamming import SolveResult, labeling_22n
+        from radiohamming import SolveResult
 
+        witness, _ = span_of_ordering(HammingGraph((2, 2, 5)), ordering_22n(5))
         fake = SolveResult(
-            rn=31, witness=labeling_22n(5), optimal=False, lower_bound=29,
+            rn=31, witness=witness, optimal=False, lower_bound=29,
             nodes_explored=1, elapsed=0.0,
         )
         monkeypatch.setattr(cli_mod, "solve", lambda g, cfg: fake)
@@ -237,10 +265,11 @@ class TestRn:
 
     def test_certify_mismatch_exits_1(self, capsys, monkeypatch):
         import radiohamming.cli as cli_mod
-        from radiohamming import SolveResult, labeling_22n
+        from radiohamming import SolveResult
 
+        witness, _ = span_of_ordering(HammingGraph((2, 2, 5)), ordering_22n(5))
         fake = SolveResult(
-            rn=30, witness=labeling_22n(5), optimal=True, lower_bound=30,
+            rn=30, witness=witness, optimal=True, lower_bound=30,
             nodes_explored=1, elapsed=0.0,
         )
         monkeypatch.setattr(cli_mod, "solve", lambda g, cfg: fake)
@@ -330,7 +359,7 @@ class TestLabel:
         code, out, _ = run_cli(["label", "2x3x3"], capsys)
         assert code == 0
         labeling = read_labeling_csv(io.StringIO(out))
-        assert labeling == labeling_233()
+        assert labeling == read_labeling_csv(str(GOLDEN_LABELING))
 
     def test_label_unsorted_233_is_golden_csv(self, capsys):
         code, out, _ = run_cli(["label", "3x2x3"], capsys)

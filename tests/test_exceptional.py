@@ -10,8 +10,6 @@ from radiohamming import (
     RunSearchBudgetError,
     constructive_ordering,
     formula_sizes,
-    labeling_22n,
-    labeling_233,
     max_consecutive_run,
     ordering_22n,
     ordering_233,
@@ -28,6 +26,16 @@ import oracles
 
 def graph_22n(n):
     return HammingGraph((2, 2) if n == 1 else (2, 2, n))
+
+
+def tight_22n(n):
+    """The tight labeling of ordering_22n(n)."""
+    return span_of_ordering(graph_22n(n), ordering_22n(n))[0]
+
+
+def tight_233():
+    """The tight labeling of ordering_233()."""
+    return span_of_ordering(HammingGraph((2, 3, 3)), ordering_233())[0]
 
 
 def tight_labels(count):
@@ -89,25 +97,25 @@ def test_constructive_ordering_meets_the_formula(sizes, rn):
 
 class TestLabeling233:
     def test_pinned_entries(self):
-        lab = labeling_233()
+        lab = tight_233()
         assert lab[(1, 1, 1)] == 1
         assert lab[(2, 3, 2)] == 20
         assert lab[(1, 1, 2)] == 8
 
     def test_valid_with_span_20(self):
-        report = validate(HammingGraph((2, 3, 3)), labeling_233())
+        report = validate(HammingGraph((2, 3, 3)), tight_233())
         assert report.valid
         assert report.span == 20
 
     def test_ordering_233_is_label_order(self):
-        lab = labeling_233()
+        lab = tight_233()
         order = ordering_233()
         assert [lab[v] for v in order] == sorted(lab.values())
 
 
 class TestLabeling22n:
     def test_n1_square(self):
-        lab = labeling_22n(1)
+        lab = tight_22n(1)
         assert lab == {(1, 1): 1, (2, 2): 2, (2, 1): 4, (1, 2): 5}
         report = validate(HammingGraph((2, 2)), lab)
         assert report.valid
@@ -119,13 +127,13 @@ class TestLabeling22n:
             (1, 1, 1), (2, 2, 2), (2, 1, 1), (1, 2, 2),
             (2, 1, 2), (1, 2, 1), (1, 1, 2), (2, 2, 1),
         ]
-        lab = labeling_22n(2)
+        lab = tight_22n(2)
         assert [lab[v] for v in order] == [1, 2, 4, 5, 7, 8, 10, 11]
         assert validate(HammingGraph((2, 2, 2)), lab).span == 11
 
     def test_n3_labels_and_ending(self):
         order = ordering_22n(3)
-        lab = labeling_22n(3)
+        lab = tight_22n(3)
         assert [lab[v] for v in order] == [1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17]
         assert order[-1] == (1, 2, 3)
         assert validate(HammingGraph((2, 2, 3)), lab).valid
@@ -137,7 +145,7 @@ class TestLabeling22n:
             (1, 1, 3), (2, 2, 4), (2, 1, 3), (1, 2, 4),
             (2, 1, 4), (1, 2, 3), (1, 1, 4), (2, 2, 3),
         ]
-        lab = labeling_22n(4)
+        lab = tight_22n(4)
         assert [lab[v] for v in order[8:]] == [13, 14, 16, 17, 19, 20, 22, 23]
         report = validate(HammingGraph((2, 2, 4)), lab)
         assert report.valid
@@ -145,7 +153,7 @@ class TestLabeling22n:
 
     @pytest.mark.parametrize("n", range(1, 51))
     def test_valid_with_span_6n_minus_1(self, n):
-        report = validate(graph_22n(n), labeling_22n(n))
+        report = validate(graph_22n(n), tight_22n(n))
         assert report.valid
         assert report.span == 6 * n - 1
 
@@ -165,11 +173,11 @@ class TestLabeling22n:
         labeling, span = span_of_ordering(g, order)
         assert span == 6 * n - 1
         assert [labeling[v] for v in order] == tight_labels(4 * n)
-        assert labeling == labeling_22n(n)
+        assert labeling == dict(zip(order, tight_labels(4 * n)))
 
     def test_rejects_n_below_one(self):
         with pytest.raises(FormulaDomainError):
-            labeling_22n(0)
+            ordering_22n(0)
 
 
 class TestMaxConsecutiveRun:

@@ -1,21 +1,24 @@
 import csv
+import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from radiohamming import (
     ConstructionError,
+    GraphError,
     HammingGraph,
     build_blocks,
     build_ordering,
     check_graceful,
-    construction_params,
     parse_vertex,
-    seed,
     span_of_ordering,
     verify_bijection,
 )
+
+import oracles
 
 DATA = Path(__file__).parent / "data"
 
@@ -40,57 +43,52 @@ def is_exceptional(a, b, c):
     return (a, b) == (2, 2) or (a, b, c) == (2, 3, 3)
 
 
+def middle_runs(blocks):
+    """Lengths of the runs of consecutive blocks whose seeds share a middle
+    value: each run is lambda long, and there are gcd(n1, n2) of them."""
+    return [len(list(run)) for _, run in itertools.groupby(b[0][1] for b in blocks)]
+
+
 def test_params_3x3x6():
-    p = construction_params(3, 3, 6)
-    assert p.rows_per_block == 6
-    assert p.block_count == 9
-    assert p.blocks_per_middle == 3
-    assert p.middle_count == 3
+    blocks = build_blocks(3, 3, 6)
+    assert {len(b) for b in blocks} == {6}
+    assert len(blocks) == 9
+    assert middle_runs(blocks) == [3, 3, 3]
 
 
 def test_params_2x3x4():
-    p = construction_params(2, 3, 4)
-    assert p.rows_per_block == 12
-    assert p.block_count == 2
-    assert p.blocks_per_middle == 2
-    assert p.middle_count == 1
+    blocks = build_blocks(2, 3, 4)
+    assert {len(b) for b in blocks} == {12}
+    assert len(blocks) == 2
+    assert middle_runs(blocks) == [2]
 
 
 def test_params_2x2x2():
-    p = construction_params(2, 2, 2)
-    assert p.rows_per_block == 2
-    assert p.block_count == 4
-    assert p.blocks_per_middle == 2
-    assert p.middle_count == 2
+    blocks = build_blocks(2, 2, 2)
+    assert {len(b) for b in blocks} == {2}
+    assert len(blocks) == 4
+    assert middle_runs(blocks) == [2, 2]
 
 
 def test_params_rejects_small_factors():
     with pytest.raises(ConstructionError):
-        construction_params(1, 3, 3)
+        build_blocks(1, 3, 3)
     with pytest.raises(ConstructionError):
-        construction_params(2, 2, 1)
+        build_blocks(2, 2, 1)
 
 
 def test_seed_examples_3x3x6():
-    p = construction_params(3, 3, 6)
-    assert seed(p, 1).vertex == (1, 1, 1)
-    assert seed(p, 4).vertex == (1, 2, 3)
-    assert seed(p, 7).vertex == (1, 3, 5)
-
-
-def test_seed_rejects_out_of_range():
-    p = construction_params(3, 3, 6)
-    with pytest.raises(ConstructionError):
-        seed(p, 0)
-    with pytest.raises(ConstructionError):
-        seed(p, 10)
+    blocks = build_blocks(3, 3, 6)
+    assert blocks[0][0] == oracles.block_seed((3, 3, 6), 1) == (1, 1, 1)
+    assert blocks[3][0] == oracles.block_seed((3, 3, 6), 4) == (1, 2, 3)
+    assert blocks[6][0] == oracles.block_seed((3, 3, 6), 7) == (1, 3, 5)
 
 
 def test_block_entries_3x3x6():
-    blocks = build_blocks(construction_params(3, 3, 6))
-    assert blocks[1].first_row == (1, 1, 2)
-    assert blocks[0].rows()[1] == (2, 2, 2)
-    assert blocks[8].rows()[5] == (3, 2, 6)
+    blocks = build_blocks(3, 3, 6)
+    assert blocks[1][0] == (1, 1, 2)
+    assert blocks[0][1] == (2, 2, 2)
+    assert blocks[8][5] == (3, 2, 6)
 
 
 def test_ordering_matches_golden_table():
@@ -117,31 +115,43 @@ def test_ordering_rejects_small_factors():
         build_ordering(2, 2, 1)
 
 
+def test_ordering_refuses_huge_sizes_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="27000000 vertices of 300x300x300"):
+            build_ordering(300, 300, 300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 @pytest.mark.parametrize("triple", SMALL_TRIPLES)
 def test_structural_properties(triple):
     a, b, c = triple
-    p = construction_params(a, b, c)
-    assert p.block_count * p.rows_per_block == a * b * c
-    assert p.blocks_per_middle * p.middle_count == p.block_count
-    assert p.blocks_per_middle <= c
+    rows_per_block = math.lcm(a, b, c)
+    block_count = a * b * c // rows_per_block
+    blocks_per_middle = c * math.lcm(a, b) // rows_per_block
+    assert blocks_per_middle * math.gcd(a, b) == block_count
+    assert blocks_per_middle <= c
 
-    blocks = build_blocks(p)
-    assert len(blocks) == p.block_count
+    blocks = build_blocks(a, b, c)
+    assert len(blocks) == block_count
+    assert middle_runs(blocks) == [blocks_per_middle] * math.gcd(a, b)
 
-    seeds = [seed(p, k).vertex for k in range(1, p.block_count + 1)]
+    seeds = [oracles.block_seed(triple, k) for k in range(1, block_count + 1)]
     # seeds are pairwise distinct
     assert len(set(seeds)) == len(seeds)
 
     gcd_ab = math.gcd(a, b)
     seed_set = set(seeds)
-    for k, block in enumerate(blocks, start=1):
-        rows = block.rows()
+    for k, rows in enumerate(blocks, start=1):
         # the block recurrence and the closed-form seed agree
         assert rows[0] == seeds[k - 1]
         # all rows within one block are distinct
-        assert len(set(rows)) == p.rows_per_block
+        assert len(rows) == len(set(rows)) == rows_per_block
         # the first column never changes across blocks
-        assert block.first_col == blocks[0].first_col
+        assert [r[0] for r in rows] == [r[0] for r in blocks[0]]
         # rows follow the simultaneous-shift structure of the first row
         r0 = rows[0]
         for r, row in enumerate(rows):
@@ -157,7 +167,7 @@ def test_structural_properties(triple):
             if row[0] == 1:
                 assert row[1] % gcd_ab == rows[0][1] % gcd_ab
 
-    ordering = [row for block in blocks for row in block.rows()]
+    ordering = [row for rows in blocks for row in rows]
     g = HammingGraph(triple)
     assert verify_bijection(g, ordering)
 
@@ -170,11 +180,9 @@ def test_structural_properties(triple):
 
 def test_lambda_one_case():
     # coprime middle pair: every block advances the middle column
-    p = construction_params(2, 4, 5)
-    assert p.blocks_per_middle == 1
-    assert p.middle_count == 2
-    blocks = build_blocks(p)
-    assert [bl.first_row for bl in blocks] == [(1, 1, 1), (1, 2, 1)]
+    blocks = build_blocks(2, 4, 5)
+    assert middle_runs(blocks) == [1, 1]
+    assert [bl[0] for bl in blocks] == [(1, 1, 1), (1, 2, 1)]
     g = HammingGraph((2, 4, 5))
     ordering = build_ordering(2, 4, 5)
     assert verify_bijection(g, ordering)
