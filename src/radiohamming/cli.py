@@ -65,16 +65,28 @@ def _certify(g: HammingGraph, expected: int, cfg: SolverConfig) -> tuple[SolveRe
     return solved, EXIT_OK if solved.rn == expected else EXIT_SEMANTIC
 
 
+def _positive(kind):
+    """argparse type: a kind(text) above 0, which rules out NaN too."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    return parse
+
+
 def _add_budget_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--node-budget",
-        type=int,
+        type=_positive(int),
         default=SolverConfig.node_budget,
         help="maximum search nodes before giving up",
     )
     parser.add_argument(
         "--time-budget",
-        type=float,
+        type=_positive(float),
         default=SolverConfig.time_budget,
         help="maximum search seconds before giving up",
     )

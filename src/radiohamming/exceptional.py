@@ -10,9 +10,10 @@ graceful, so its radio number is lmn, except for two families:
   labels (a six-step chain of pairwise constraints forces the seventh vertex
   to equal the first), so two label jumps are forced among 18 vertices.
 
-For both families this module holds a vertex ordering whose tight labeling
-(span_of_ordering) is optimal, and it is the one place that maps factor
-sizes to their family and that family's ordering (formula_sizes,
+For 2x2xn this module holds a vertex ordering whose tight labeling
+(span_of_ordering) is optimal; for 2x3x3 the block construction's is
+(ordering_233).  It is the one place that maps factor sizes to their
+family and that family's ordering (formula_sizes,
 constructive_ordering).  Its search_orderings, the one depth-first search
 over vertex orderings with greedy labels, finds the longest run of
 consecutive labels, fills the solver's climb table and runs its branch and
@@ -100,19 +101,14 @@ def formula_sizes(sizes: Sequence[int]) -> tuple[int, int, int]:
 
 
 def constructive_ordering(sizes: Sequence[int]) -> list[Vertex]:
-    """Vertex ordering whose tight labeling has the formula's span: the block
-    construction, or the ordering of the exceptional family.
+    """Vertex ordering whose tight labeling has the formula's span:
+    ordering_22n for 2x2xn, otherwise the block construction.
 
     Vertices are in the caller's coordinates (coordinate i ranges over
     1..sizes[i]).  Raises FormulaDomainError like formula_sizes.
     """
     n1, n2, n3 = formula_sizes(sizes)
-    if (n1, n2) == (2, 2):
-        order = ordering_22n(n3)
-    elif (n1, n2, n3) == (2, 3, 3):
-        order = ordering_233()
-    else:
-        order = build_ordering(n1, n2, n3)
+    order = ordering_22n(n3) if (n1, n2) == (2, 2) else build_ordering(n1, n2, n3)
     # Pad the family's vertices with the size-1 factors, which sort first,
     # then move every coordinate back to its factor's place in sizes.
     pad = (1,) * (len(sizes) - len(order[0]))
@@ -121,20 +117,12 @@ def constructive_ordering(sizes: Sequence[int]) -> list[Vertex]:
     return [back(pad + v) for v in order]
 
 
-# Optimal ordering of K_2 x K_3 x K_3.  Its tight labels are 1..6, 8..13 and
-# 15..20: the first six are consecutive (the longest run this graph admits)
-# and each later group of six starts after a forced jump.
-_ORDER_233: tuple[Vertex, ...] = (
-    (1, 1, 1), (2, 2, 2), (1, 3, 3), (2, 1, 1), (1, 2, 2), (2, 3, 3),
-    (1, 1, 2), (2, 2, 3), (1, 3, 1), (2, 1, 2), (1, 2, 3), (2, 3, 1),
-    (1, 1, 3), (2, 2, 1), (1, 3, 2), (2, 1, 3), (1, 2, 1), (2, 3, 2),
-)
-
-
 def ordering_233() -> list[Vertex]:
     """Ordering of K_2 x K_3 x K_3 whose tight labeling (span_of_ordering)
-    has span 20."""
-    return list(_ORDER_233)
+    has span 20: the block construction.  Its three blocks of six rows take
+    the labels 1..6, 8..13 and 15..20, each a run as long as this graph
+    admits, with a forced jump between blocks."""
+    return build_ordering(2, 3, 3)
 
 
 # Base orderings for K_2 x K_2 x K_n.  n = 1 degenerates to K_2 x K_2 with

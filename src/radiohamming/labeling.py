@@ -233,7 +233,10 @@ def read_labeling_csv(source: Union[str, TextIO]) -> RadioLabeling:
     """
     if isinstance(source, str):
         with open(source, newline="") as fh:
-            return read_labeling_csv(fh)
+            try:
+                return read_labeling_csv(fh)
+            except UnicodeDecodeError as exc:
+                raise LabelingError(f"{source!r} is not {fh.encoding} text: {exc.reason}") from None
     reader = csv.reader(source)
     try:
         header = next(reader)

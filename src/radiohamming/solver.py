@@ -26,17 +26,16 @@ as its proven lower_bound.
 
 from __future__ import annotations
 
-import random
+import math
 import time
 from dataclasses import dataclass
 
 from .exceptional import FormulaDomainError, RunSearchBudgetError, constructive_ordering
 from .exceptional import max_consecutive_run, search_orderings
-from .graphs import HammingGraph
+from .graphs import HammingGraph, Vertex
 from .labeling import RadioLabeling, span_of_ordering, validate
 
 _RUN_SEARCH_CAP = 200_000
-_HEURISTIC_TRIES = 64
 
 
 class SolverError(RuntimeError):
@@ -51,7 +50,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.node_budget < 1:
             raise ValueError(f"node_budget must be positive, got {self.node_budget}")
-        if self.time_budget <= 0:
+        if not self.time_budget > 0:  # NaN too: no clock reading passes it
             raise ValueError(f"time_budget must be positive, got {self.time_budget}")
 
 
@@ -133,27 +132,24 @@ def _climb_table(g: HammingGraph, bound: float, deadline: float, largest: int | 
     return table
 
 
-def _initial_incumbent(g: HammingGraph, deadline: float) -> tuple[RadioLabeling, int]:
+def _initial_incumbent(g: HammingGraph) -> tuple[RadioLabeling, int]:
     """A valid labeling to start from: constructive for the diameter-3
-    families, otherwise the best of the lexicographic ordering and a few
-    random ones, tried only until the deadline (perf_counter time) or until
-    one has span N, which no labeling undercuts."""
+    families, otherwise the tight labeling of the diagonal orbits, the
+    paper's blocks for any number of factors: the vertices in lexicographic
+    order, each not yet placed followed by the rest of its orbit under
+    v -> v + (1, ..., 1), lcm(sizes) rows in all."""
     try:
         return span_of_ordering(g, constructive_ordering(g.factor_sizes))
     except FormulaDomainError:
         pass
-
-    rng = random.Random(1729)
-    verts = g.vertices()
-    best_lab, best_span = span_of_ordering(g, verts)
-    for _ in range(_HEURISTIC_TRIES):
-        if best_span == len(verts) or time.perf_counter() > deadline:
-            break
-        rng.shuffle(verts)
-        lab, span = span_of_ordering(g, verts)
-        if span < best_span:
-            best_lab, best_span = lab, span
-    return best_lab, best_span
+    sizes = g.factor_sizes
+    shifts = range(math.lcm(*sizes))
+    order: dict[Vertex, None] = {}  # the vertices placed, in order
+    for v in g.vertices():
+        if v not in order:
+            orbit = (tuple((c + t - 1) % s + 1 for c, s in zip(v, sizes)) for t in shifts)
+            order.update(dict.fromkeys(orbit))
+    return span_of_ordering(g, list(order))
 
 
 def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
@@ -169,7 +165,7 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
     started = time.perf_counter()
     n = g.vertex_count
     deadline = started + cfg.time_budget
-    best_lab, bound = _initial_incumbent(g, deadline)
+    best_lab, bound = _initial_incumbent(g)
 
     # Root certificate: rn >= 1 + C(N) >= N
     table = _climb_table(g, bound, deadline)

@@ -35,6 +35,21 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def budget_exhausted(monkeypatch):
+    """Every in-domain instance certifies at the root, so the CLI's solve is
+    replaced by one whose budget ran out at 2x2x5's constructive span 29."""
+    import radiohamming.cli as cli_mod
+    from radiohamming import SolveResult
+
+    witness, _ = span_of_ordering(HammingGraph((2, 2, 5)), ordering_22n(5))
+    fake = SolveResult(
+        rn=29, witness=witness, optimal=False, lower_bound=28,
+        nodes_explored=1, elapsed=0.0,
+    )
+    monkeypatch.setattr(cli_mod, "solve", lambda g, cfg: fake)
+
+
 # (spec, sorted sizes, block count): a permuted spec and a single block
 BLOCK_SPECS = [("3x3x6", (3, 3, 6), 9), ("6x3x3", (3, 3, 6), 9), ("2x3x5", (2, 3, 5), 1)]
 BLOCK_IDS = [spec for spec, *_ in BLOCK_SPECS]
@@ -191,6 +206,14 @@ class TestVerify:
         code, _, err = run_cli(["verify", "2x3x3", str(tmp_path / "nope.csv")], capsys)
         assert code == 2
 
+    def test_undecodable_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b'vertex,label\n"(1,1)",1\xff\xfe\n')
+        code, out, err = run_cli(["verify", "2x2", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_partial_labeling_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "partial.csv"
         path.write_text('vertex,label\n"(1,1,1)",1\n')
@@ -246,18 +269,7 @@ class TestRn:
         assert payload["normalized"] == "2x3x3"
         assert payload["rn"] == 20
 
-    def test_certify_budget_exhaustion_exits_3(self, capsys, monkeypatch):
-        # every in-domain instance certifies at the root, so exhaustion is
-        # simulated to pin down the exit code contract
-        import radiohamming.cli as cli_mod
-        from radiohamming import SolveResult
-
-        witness, _ = span_of_ordering(HammingGraph((2, 2, 5)), ordering_22n(5))
-        fake = SolveResult(
-            rn=31, witness=witness, optimal=False, lower_bound=29,
-            nodes_explored=1, elapsed=0.0,
-        )
-        monkeypatch.setattr(cli_mod, "solve", lambda g, cfg: fake)
+    def test_certify_budget_exhaustion_exits_3(self, capsys, budget_exhausted):
         code, out, _ = run_cli(["rn", "2x2x5", "--certify"], capsys)
         payload = json.loads(out)
         assert code == 3
@@ -308,16 +320,17 @@ class TestSolve:
         assert payload["optimal"] is False
 
     def test_solve_stops_at_the_root_bound(self, tmp_path, capsys):
-        # 303 nodes reach a span-12 ordering of 3x4, which meets rn >= N
+        # 120 nodes reach a span-30 ordering of 2x2x2x2, which meets its root
+        # bound 1 + C(N)
         code, out, _ = run_cli(
-            ["solve", "3x4", "--node-budget", "303", "--witness-out", str(tmp_path / "w.csv")],
+            ["solve", "2x2x2x2", "--node-budget", "120", "--witness-out", str(tmp_path / "w.csv")],
             capsys,
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["rn"] == payload["lower_bound"] == 12
+        assert payload["rn"] == payload["lower_bound"] == 30
         assert payload["optimal"] is True
-        assert payload["nodes_explored"] == 303
+        assert payload["nodes_explored"] == 120
 
     def test_solve_10x10x11_certifies_at_root(self, tmp_path, capsys):
         witness = tmp_path / "w.csv"
@@ -334,11 +347,25 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["span"] == 1100
 
-    def test_solve_6x6x6x6_stops_at_time_budget(self, tmp_path):
-        # no closed form, and the searches cannot finish within the budget
+    def test_solve_6x6x6x6_certifies_at_root(self, tmp_path, capsys):
+        # no closed form, but the diagonal orbits are graceful: span N
+        witness = tmp_path / "w.csv"
+        code, out, _ = run_cli(["solve", "6x6x6x6", "--witness-out", str(witness)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rn"] == payload["lower_bound"] == 1296
+        assert payload["optimal"] is True
+        assert payload["nodes_explored"] == 0
+        report = validate(HammingGraph((6, 6, 6, 6)), read_labeling_csv(str(witness)))
+        assert report.valid
+        assert report.span == 1296
+
+    def test_solve_3x3x3x3_stops_at_time_budget(self, tmp_path):
+        # no closed form, the orbit incumbent is not graceful, and the
+        # searches cannot finish within the budget
         witness = tmp_path / "w.csv"
         proc = subprocess.run(
-            [sys.executable, "-m", "radiohamming", "solve", "6x6x6x6",
+            [sys.executable, "-m", "radiohamming", "solve", "3x3x3x3",
              "--time-budget", "2", "--witness-out", str(witness)],
             capture_output=True,
             text=True,
@@ -348,8 +375,8 @@ class TestSolve:
         assert "Traceback" not in proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["optimal"] is False
-        assert 1296 <= payload["lower_bound"] <= payload["rn"]
-        report = validate(HammingGraph((6, 6, 6, 6)), read_labeling_csv(str(witness)))
+        assert 81 <= payload["lower_bound"] <= payload["rn"]
+        report = validate(HammingGraph((3, 3, 3, 3)), read_labeling_csv(str(witness)))
         assert report.valid
         assert report.span == payload["rn"]
 
@@ -388,6 +415,12 @@ class TestLabel:
         labeling = read_labeling_csv(io.StringIO(out))
         assert validate(HammingGraph((2, 2)), labeling).span == 5
 
+    def test_certify_budget_exhaustion_exits_3(self, capsys, budget_exhausted):
+        code, out, err = run_cli(["label", "2x2x5", "--certify"], capsys)
+        assert code == 3
+        assert out.startswith("vertex,label\n")
+        assert err == "certification incomplete: solver budget exhausted at rn <= 29\n"
+
     def test_label_out_of_domain(self, capsys):
         code, _, err = run_cli(["label", "5x5"], capsys)
         assert code == 2
@@ -416,6 +449,12 @@ class TestSweep:
         # the solver certifies every row of the box
         assert all(r["solver_rn"] == r["rn_formula"] for r in rows.values())
 
+    def test_sweep_budget_exhaustion_exits_3(self, capsys, budget_exhausted):
+        code, out, err = run_cli(["sweep", "2"], capsys)
+        assert code == 3
+        assert out.splitlines()[1] == "2,2,2,8,11,two_two_n,False,11,29"
+        assert err == "warning: solver budget exhausted on some instances\n"
+
     def test_sweep_bad_bounds(self, capsys):
         code, _, err = run_cli(["sweep", "1"], capsys)
         assert code == 2
@@ -429,6 +468,26 @@ def test_budget_defaults_come_from_solver_config():
     assert args.time_budget == SolverConfig.time_budget
     args = build_parser().parse_args(["solve", "2x2", "--node-budget", "9"])
     assert args.node_budget == 9
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "2x2", "--node-budget", "0"],
+        ["solve", "2x2", "--time-budget", "0"],
+        ["solve", "2x2", "--time-budget", "nan"],
+        ["rn", "2x3x3", "--certify", "--time-budget", "-1"],
+        ["label", "2x3x3", "--certify", "--node-budget", "-5"],
+    ],
+)
+def test_bad_budget_is_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "error: argument --" in captured.err
+    assert "must be positive" in captured.err
 
 
 def test_permutation_recorded_in_json(capsys):

@@ -8,6 +8,7 @@ from radiohamming import (
     FormulaDomainError,
     HammingGraph,
     RunSearchBudgetError,
+    build_ordering,
     constructive_ordering,
     formula_sizes,
     max_consecutive_run,
@@ -106,6 +107,9 @@ class TestLabeling233:
         report = validate(HammingGraph((2, 3, 3)), tight_233())
         assert report.valid
         assert report.span == 20
+
+    def test_ordering_233_is_the_block_construction(self):
+        assert ordering_233() == build_ordering(2, 3, 3)
 
     def test_ordering_233_is_label_order(self):
         lab = tight_233()

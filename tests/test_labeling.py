@@ -336,6 +336,9 @@ def test_labeling_csv_roundtrip(tmp_path):
     labeling = tight_233()
     write_labeling_csv(str(path), labeling)
     assert read_labeling_csv(str(path)) == labeling
+    blank = tmp_path / "blank.csv"
+    blank.write_text('vertex,label\n"(1,1)",1\n\n"(2,2)",2\n')
+    assert read_labeling_csv(str(blank)) == {(1, 1): 1, (2, 2): 2}
 
 
 def test_labeling_csv_errors(tmp_path):
@@ -351,3 +354,16 @@ def test_labeling_csv_errors(tmp_path):
     dup.write_text('vertex,label\n"(1,1)",1\n"(1,1)",2\n')
     with pytest.raises(LabelingError):
         read_labeling_csv(str(dup))
+    bad = tmp_path / "row.csv"
+    for row, message in [
+        ('"(1,1)",1,2', "malformed labeling row"),
+        ('"(1,x)",1', "malformed vertex"),
+        ('"(1,1)",1.5', "malformed label"),
+    ]:
+        bad.write_text(f"vertex,label\n{row}\n")
+        with pytest.raises(LabelingError, match=message):
+            read_labeling_csv(str(bad))
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes('vertex,label\n"(1,1)",1 \xe9\n'.encode("latin-1"))
+    with pytest.raises(LabelingError, match="is not .* text"):
+        read_labeling_csv(str(latin))

@@ -64,6 +64,16 @@ class TestClimbTable:
         table = solver_mod._climb_table(g, math.inf, math.inf, largest=top)
         assert [table.least(w) for w in range(1, top + 1)] == oracles.least_climbs(sizes, top)
 
+    def test_entry_out_of_nodes_is_dropped(self, monkeypatch):
+        # 50 nodes finish the run search of K_2^4 (r = 2, 30 nodes) but not
+        # the search for m[3], so the table keeps only the seed m[3] >= 3
+        g = HammingGraph((2, 2, 2, 2))
+        assert solver_mod._climb_table(g, math.inf, math.inf).past_run == [4, 5]
+        monkeypatch.setattr(solver_mod, "_RUN_SEARCH_CAP", 50)
+        table = solver_mod._climb_table(g, math.inf, math.inf)
+        assert table.run == 2
+        assert table.past_run == [3]
+
     def test_no_entry_up_to_the_run_length(self):
         # a spent deadline caps the run search, so r = N; storing m[w] for
         # every w <= r would make each C(s) cost O(N) and the ceiling O(N^2)
@@ -100,6 +110,8 @@ class TestSolveExactValues:
             ((2, 2, 2, 3), 35),
             ((2,) * 5, 62),
             ((2,) * 6, 157),
+            # the diagonal orbits meet the jump bound 72 + 72 / 12 - 1
+            ((2, 3, 3, 4), 77),
         ],
     )
     def test_certified_exceptional_instances(self, sizes, expected):
@@ -125,8 +137,8 @@ class TestSolveExactValues:
 
     @pytest.mark.parametrize("sizes", [(1,), (7,), (1, 4)])
     def test_complete_graph_certifies_at_the_root(self, sizes, monkeypatch):
-        # no special case: the lexicographic incumbent has span N, which
-        # ends the random tries and meets the root bound rn >= N
+        # no special case: the one diagonal orbit of K_n is the
+        # lexicographic ordering, of span N, which meets the root bound rn >= N
         calls = 0
         span_of_ordering = solver_mod.span_of_ordering
 
@@ -187,6 +199,23 @@ class TestRootCertificate:
         assert result.rn == g.vertex_count
         assert result.nodes_explored == 0
 
+    def test_orbits_certify_one_and_two_factor_graphs(self, monkeypatch):
+        # the diagonal orbits are graceful on every K_n and on every K_m x K_n
+        # written with m <= n but C_4 = K_2 x K_2: span N, optimal with no search
+        def no_run_search(*args, **kwargs):
+            raise AssertionError("run search called on a span-N incumbent")
+
+        monkeypatch.setattr(solver_mod, "max_consecutive_run", no_run_search)
+        graphs = [(n,) for n in range(1, 10)]
+        graphs += [(m, n) for m in range(2, 10) for n in range(m, 10) if (m, n) != (2, 2)]
+        for sizes in graphs:
+            g = HammingGraph(sizes)
+            result = solve(g)
+            assert result.optimal, sizes
+            assert result.rn == result.lower_bound == g.vertex_count, sizes
+            assert result.nodes_explored == 0, sizes
+            assert oracles.radio_valid(sizes, result.witness), sizes
+
     @pytest.mark.parametrize("sizes", [(2, 2, 3), (2, 3, 3), (2, 2, 2), (2, 2, 4), (2, 2, 5)])
     def test_run_length_bound_meets_incumbent(self, sizes, monkeypatch):
         # the run-seeded table meets the incumbent, so no entry is searched
@@ -210,9 +239,9 @@ class TestRootCertificate:
         assert validate(g, result.witness).valid
 
     def test_spent_time_budget_builds_no_distance_matrix(self, monkeypatch):
-        # K_6^4 has no closed form and the searches run until the budget is
-        # spent; an N x N distance matrix would take N^2 distances and 8 N^2
-        # bytes
+        # 2x2x6x6x7 has no closed form, its orbit incumbent (span 1512) is
+        # above its root bound and the searches run until the budget is spent;
+        # an N x N distance matrix would take N^2 distances and 8 N^2 bytes
         calls = 0
 
         def counting_hamming(a, b):
@@ -223,7 +252,7 @@ class TestRootCertificate:
         for mod in (labeling_mod, exceptional_mod, solver_mod):
             if hasattr(mod, "hamming"):
                 monkeypatch.setattr(mod, "hamming", counting_hamming)
-        g = HammingGraph((6, 6, 6, 6))
+        g = HammingGraph((2, 2, 6, 6, 7))
         n = g.vertex_count
         tracemalloc.start()
         try:
@@ -240,8 +269,9 @@ class TestRootCertificate:
         assert report.span == result.rn
 
     def test_spent_time_budget_keeps_only_the_first_incumbent(self, monkeypatch):
-        # K_10^4 has no closed form: the random incumbents stop at the
-        # deadline, but the lexicographic one is always labeled as a witness
+        # 2x2x6x6x7 has no closed form and its orbit incumbent is not
+        # certified: one labeled ordering is the witness, however short the
+        # budget
         calls = 0
         span_of_ordering = solver_mod.span_of_ordering
 
@@ -251,7 +281,7 @@ class TestRootCertificate:
             return span_of_ordering(g, ordering)
 
         monkeypatch.setattr(solver_mod, "span_of_ordering", counting_span)
-        g = HammingGraph((10, 10, 10, 10))
+        g = HammingGraph((2, 2, 6, 6, 7))
         result = solve(g, SolverConfig(time_budget=1e-6))
         assert calls == 1
         assert not result.optimal
@@ -314,15 +344,18 @@ class TestSolverInvariants:
         assert result.optimal
         assert oracles.jump_lower_bound(g.vertex_count, run) <= result.rn
 
-    @pytest.mark.parametrize("sizes,budget", [((2, 3), 10), ((3, 3), 48), ((3, 4), 303), ((4, 4), 197)])
-    def test_stops_at_the_root_bound(self, sizes, budget):
-        # the branch and bound ends at the first ordering of span N, within
-        # exactly the nodes it takes to reach one
+    @pytest.mark.parametrize(
+        "sizes,budget,rn", [((2, 2, 2, 2), 120, 30), ((2, 2, 2, 3), 253, 35), ((2,) * 5, 433, 62)]
+    )
+    def test_stops_at_the_root_bound(self, sizes, budget, rn):
+        # the branch and bound ends at the first ordering that meets the root
+        # bound 1 + C(N), within exactly the nodes it takes to reach one
         g = HammingGraph(sizes)
         result = solve(g, SolverConfig(node_budget=budget))
         assert result.optimal
-        assert result.rn == result.lower_bound == g.vertex_count
+        assert result.rn == result.lower_bound == rn
         assert result.nodes_explored == budget
+        assert not solve(g, SolverConfig(node_budget=budget - 1)).optimal
 
     @pytest.mark.parametrize("sizes", GRAPHS_UP_TO_12 + [(2, 2, 2, 2)])
     def test_meeting_the_bound_is_optimal(self, sizes):
@@ -346,3 +379,5 @@ class TestSolverInvariants:
             SolverConfig(node_budget=0)
         with pytest.raises(ValueError):
             SolverConfig(time_budget=0)
+        with pytest.raises(ValueError):
+            SolverConfig(time_budget=math.nan)
