@@ -209,6 +209,7 @@ def cmd_label(args) -> int:
     g, permutation = _sorted_graph(args.spec)
     if permutation:
         print(f"note: factors sorted to {g} (isomorphic to {args.spec})", file=sys.stderr)
+    formula_sizes(g.factor_sizes)  # no closed form, no optimal labeling: exit 2
     labeling, span = span_of_ordering(g, constructive_ordering(g.factor_sizes))
     with _open_output(args.output) as out:
         write_labeling_csv(out, labeling)

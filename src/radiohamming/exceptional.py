@@ -13,8 +13,8 @@ graceful, so its radio number is lmn, except for two families:
 For 2x2xn this module holds a vertex ordering whose tight labeling
 (span_of_ordering) is optimal; for 2x3x3 the block construction's is
 (ordering_233).  It is the one place that maps factor sizes to their
-family and that family's ordering (formula_sizes,
-constructive_ordering).  Its search_orderings, the one depth-first search
+family (formula_sizes) and any graph to its ordering
+(constructive_ordering).  Its search_orderings, the one depth-first search
 over vertex orderings with greedy labels, finds the longest run of
 consecutive labels, fills the solver's climb table and runs its branch and
 bound, where a run length becomes a lower bound.
@@ -101,18 +101,23 @@ def formula_sizes(sizes: Sequence[int]) -> tuple[int, int, int]:
 
 
 def constructive_ordering(sizes: Sequence[int]) -> list[Vertex]:
-    """Vertex ordering whose tight labeling has the formula's span:
-    ordering_22n for 2x2xn, otherwise the block construction.
-
-    Vertices are in the caller's coordinates (coordinate i ranges over
-    1..sizes[i]).  Raises FormulaDomainError like formula_sizes.
-    """
-    n1, n2, n3 = formula_sizes(sizes)
-    order = ordering_22n(n3) if (n1, n2) == (2, 2) else build_ordering(n1, n2, n3)
-    # Pad the family's vertices with the size-1 factors, which sort first,
-    # then move every coordinate back to its factor's place in sizes.
+    """Vertex ordering of any Hamming graph, in the caller's coordinates
+    (factors in any order, of size 1 too): ordering_22n for 2x2 and 2x2xn,
+    otherwise build_ordering of the factors >= 2 in ascending order.  Its
+    tight labeling has the closed form's span wherever formula_sizes
+    applies; elsewhere it is the solver's first incumbent."""
+    HammingGraph(tuple(sizes))  # rejects sizes that are no graph
+    nontrivial = sorted(s for s in sizes if s >= 2)
+    if nontrivial[:2] == [2, 2] and len(nontrivial) <= 3:
+        order = ordering_22n(math.prod(nontrivial) // 4)
+    else:
+        order = build_ordering(*nontrivial) if nontrivial else [()]
+    # Pad the vertices with the size-1 factors, which sort first, then move
+    # every coordinate back to its factor's place in sizes.
     pad = (1,) * (len(sizes) - len(order[0]))
     by_size = sorted(range(len(sizes)), key=sizes.__getitem__)
+    if by_size == sorted(by_size):  # sizes ascending: every coordinate in place
+        return [pad + v for v in order] if pad else order
     back = operator.itemgetter(*(by_size.index(i) for i in range(len(sizes))))
     return [back(pad + v) for v in order]
 

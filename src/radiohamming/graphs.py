@@ -96,9 +96,14 @@ class HammingGraph:
 def parse_graph(text: str) -> HammingGraph:
     """Parse a factor-size spec such as "2x3x3" into a HammingGraph."""
     parts = text.strip().lower().split("x")
-    if not parts or any(not p.isdigit() for p in parts):
+    # isdigit() would pass superscripts such as "³", which int() rejects
+    if not all(p.isdecimal() for p in parts):
         raise GraphError(f"malformed graph spec {text!r}, expected e.g. '2x3x3'")
-    return HammingGraph(tuple(int(p) for p in parts))
+    try:
+        sizes = tuple(map(int, parts))
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise GraphError(f"factor size too long in graph spec {text[:40]!r}...") from None
+    return HammingGraph(sizes)
 
 
 def parse_vertex(text: str) -> Vertex:

@@ -237,7 +237,13 @@ def read_labeling_csv(source: Union[str, TextIO]) -> RadioLabeling:
                 return read_labeling_csv(fh)
             except UnicodeDecodeError as exc:
                 raise LabelingError(f"{source!r} is not {fh.encoding} text: {exc.reason}") from None
-    reader = csv.reader(source)
+    try:
+        return _read_labeling_rows(csv.reader(source))
+    except csv.Error as exc:  # e.g. a field above csv.field_size_limit()
+        raise LabelingError(f"malformed labeling CSV: {exc}") from None
+
+
+def _read_labeling_rows(reader) -> RadioLabeling:
     try:
         header = next(reader)
     except StopIteration:

@@ -12,11 +12,12 @@ least greedy climb f(x_w) - f(x_1) over w distinct vertices, and any s
 vertices consecutive in label order climb at least C(s).  The run search
 gives m[w] = w - 1 for w <= r and m[r + 1] >= r + 1, so 1 + C(N) is at least
 the jump bound N + ceil(N / r) - 1; search_orderings fills w = r + 1, r + 2,
-... exactly.  An incumbent of span 1 + C(N) is optimal with no search nodes;
-one of span N needs no run search.  Below the root, the branch and bound is
-the same search at w = N: a vertex at depth d is kept only when its label is
-below bound - C(N - d), and children are tried best label first, so
-2x2x2x2 meets its root bound 30 in 120 nodes and 2x2x2x2x2 its 62 in 433.
+... exactly.  The first incumbent labels constructive_ordering; one of
+span 1 + C(N) is optimal with no search nodes, and one of span N needs no
+run search.  Below the root, the branch and bound is the same search at
+w = N: a vertex at depth d is kept only when its label is below
+bound - C(N - d), and children are tried best label first, so 2x2x2x3
+meets its root bound 35 in 253 nodes and 2x2x2x2x2 its 62 in 433.
 Every search of size vertices stops at a leaf
 labeled 1 + C(size), which no ordering undercuts, so the branch and bound
 ends as soon as its incumbent meets the root bound.  It is not started once
@@ -26,13 +27,12 @@ as its proven lower_bound.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
-from .exceptional import FormulaDomainError, RunSearchBudgetError, constructive_ordering
+from .exceptional import RunSearchBudgetError, constructive_ordering
 from .exceptional import max_consecutive_run, search_orderings
-from .graphs import HammingGraph, Vertex
+from .graphs import HammingGraph
 from .labeling import RadioLabeling, span_of_ordering, validate
 
 _RUN_SEARCH_CAP = 200_000
@@ -132,26 +132,6 @@ def _climb_table(g: HammingGraph, bound: float, deadline: float, largest: int | 
     return table
 
 
-def _initial_incumbent(g: HammingGraph) -> tuple[RadioLabeling, int]:
-    """A valid labeling to start from: constructive for the diameter-3
-    families, otherwise the tight labeling of the diagonal orbits, the
-    paper's blocks for any number of factors: the vertices in lexicographic
-    order, each not yet placed followed by the rest of its orbit under
-    v -> v + (1, ..., 1), lcm(sizes) rows in all."""
-    try:
-        return span_of_ordering(g, constructive_ordering(g.factor_sizes))
-    except FormulaDomainError:
-        pass
-    sizes = g.factor_sizes
-    shifts = range(math.lcm(*sizes))
-    order: dict[Vertex, None] = {}  # the vertices placed, in order
-    for v in g.vertices():
-        if v not in order:
-            orbit = (tuple((c + t - 1) % s + 1 for c, s in zip(v, sizes)) for t in shifts)
-            order.update(dict.fromkeys(orbit))
-    return span_of_ordering(g, list(order))
-
-
 def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
     """Exact radio number of g, with a labeling of that span as witness.
 
@@ -165,7 +145,7 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
     started = time.perf_counter()
     n = g.vertex_count
     deadline = started + cfg.time_budget
-    best_lab, bound = _initial_incumbent(g)
+    best_lab, bound = span_of_ordering(g, constructive_ordering(g.factor_sizes))
 
     # Root certificate: rn >= 1 + C(N) >= N
     table = _climb_table(g, bound, deadline)

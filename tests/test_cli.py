@@ -214,6 +214,14 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_field_above_the_csv_limit_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text(f'vertex,label\n"({"1," * 70_000}1)",1\n')  # a 140,003-character field
+        code, out, err = run_cli(["verify", "2x2", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_partial_labeling_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "partial.csv"
         path.write_text('vertex,label\n"(1,1,1)",1\n')
@@ -309,7 +317,7 @@ class TestSolve:
     def test_solve_budget_exit(self, tmp_path, capsys):
         code, out, _ = run_cli(
             [
-                "solve", "2x2x2x2",
+                "solve", "2x2x2x3",
                 "--node-budget", "100",
                 "--witness-out", str(tmp_path / "w.csv"),
             ],
@@ -320,17 +328,23 @@ class TestSolve:
         assert payload["optimal"] is False
 
     def test_solve_stops_at_the_root_bound(self, tmp_path, capsys):
-        # 120 nodes reach a span-30 ordering of 2x2x2x2, which meets its root
+        # 253 nodes reach a span-35 ordering of 2x2x2x3, which meets its root
         # bound 1 + C(N)
         code, out, _ = run_cli(
-            ["solve", "2x2x2x2", "--node-budget", "120", "--witness-out", str(tmp_path / "w.csv")],
+            ["solve", "2x2x2x3", "--node-budget", "253", "--witness-out", str(tmp_path / "w.csv")],
             capsys,
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["rn"] == payload["lower_bound"] == 30
+        assert payload["rn"] == payload["lower_bound"] == 35
         assert payload["optimal"] is True
-        assert payload["nodes_explored"] == 120
+        assert payload["nodes_explored"] == 253
+
+    def test_superscript_spec_is_usage_error(self, tmp_path, capsys):
+        code, out, err = run_cli(["solve", "2x³", "--witness-out", str(tmp_path / "w.csv")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_solve_10x10x11_certifies_at_root(self, tmp_path, capsys):
         witness = tmp_path / "w.csv"

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from radiohamming import (
@@ -115,9 +115,20 @@ def test_vertex_roundtrip(sizes, data):
     g.check_vertex(v)
 
 
+@given(st.text())
+@example("2x³")
+@example("2x" + "9" * 5000)
+def test_parse_graph_raises_only_graph_error(text):
+    try:
+        g = parse_graph(text)
+    except GraphError:
+        return
+    assert all(type(s) is int and s >= 1 for s in g.factor_sizes)
+
+
 def test_parse_errors():
-    for bad in ["", "2x", "x3", "2x-1", "2,3", "axb"]:
-        with pytest.raises(GraphError):
+    for bad in ["", "2x", "x3", "2x-1", "2,3", "axb", "2x³", "²x3", "2x+3", "2x3_0"]:
+        with pytest.raises(GraphError, match="malformed graph spec"):
             parse_graph(bad)
     for bad in ["", "1,2", "(1,2", "(1,,2)", "(a,b)"]:
         with pytest.raises(GraphError):

@@ -187,3 +187,26 @@ def test_lambda_one_case():
     ordering = build_ordering(2, 4, 5)
     assert verify_bijection(g, ordering)
     assert check_graceful(g, ordering).graceful
+
+
+@pytest.mark.parametrize("factors", [1, 2, 3, 4, 5])
+def test_orbit_walk_is_a_bijection_for_any_number_of_factors(factors):
+    # each block is one diagonal orbit, every row the one before it +1 in
+    # every coordinate, and together the blocks list every vertex once
+    for sizes in itertools.product(range(2, 5), repeat=factors):
+        if math.prod(sizes) > 1000:
+            continue
+        blocks = build_blocks(*sizes)
+        assert oracles.is_bijection(sizes, build_ordering(*sizes)), sizes
+        for rows in blocks:
+            assert len(rows) == math.lcm(*sizes), sizes
+            assert all(
+                nxt == tuple(c % s + 1 for c, s in zip(row, sizes))
+                for row, nxt in zip(rows, rows[1:])
+            ), sizes
+
+
+def test_orbit_walk_seeds_are_the_papers_up_to_12():
+    for triple in itertools.combinations_with_replacement(range(2, 13), 3):
+        seeds = [rows[0] for rows in build_blocks(*triple)]
+        assert seeds == [oracles.block_seed(triple, k) for k in range(1, len(seeds) + 1)], triple

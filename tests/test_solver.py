@@ -82,7 +82,7 @@ class TestClimbTable:
         assert table.run == g.vertex_count
         assert table.past_run == [g.vertex_count + 1]
 
-    @pytest.mark.parametrize("sizes", [(2, 2, 2, 3), (2, 2, 3, 3), (2, 3, 3, 3), (2, 2, 2, 2, 2)])
+    @pytest.mark.parametrize("sizes", [(2, 2, 2, 3), (2, 2, 3, 3), (2, 2, 2, 4), (2, 2, 2, 2, 2)])
     def test_lower_bound_never_below_the_jump_bound(self, sizes):
         # 200 nodes stop short of the 253 and 433 that certify 2x2x2x3 and K_2^5
         g = HammingGraph(sizes)
@@ -200,14 +200,14 @@ class TestRootCertificate:
         assert result.nodes_explored == 0
 
     def test_orbits_certify_one_and_two_factor_graphs(self, monkeypatch):
-        # the diagonal orbits are graceful on every K_n and on every K_m x K_n
-        # written with m <= n but C_4 = K_2 x K_2: span N, optimal with no search
+        # the diagonal orbits are graceful on every K_n and on every K_m x K_n,
+        # written in either order, but C_4 = K_2 x K_2: span N, optimal with no search
         def no_run_search(*args, **kwargs):
             raise AssertionError("run search called on a span-N incumbent")
 
         monkeypatch.setattr(solver_mod, "max_consecutive_run", no_run_search)
         graphs = [(n,) for n in range(1, 10)]
-        graphs += [(m, n) for m in range(2, 10) for n in range(m, 10) if (m, n) != (2, 2)]
+        graphs += [(m, n) for m in range(2, 10) for n in range(2, 10) if (m, n) != (2, 2)]
         for sizes in graphs:
             g = HammingGraph(sizes)
             result = solve(g)
@@ -215,6 +215,25 @@ class TestRootCertificate:
             assert result.rn == result.lower_bound == g.vertex_count, sizes
             assert result.nodes_explored == 0, sizes
             assert oracles.radio_valid(sizes, result.witness), sizes
+
+    @pytest.mark.parametrize(
+        "sizes,rn",
+        [((2, 2, 2, 2), 30), ((2, 2, 3, 4), 71), ((2, 2, 4, 4), 95), ((2, 3, 3, 3), 71),
+         ((2, 3, 3, 4), 77), ((2, 3, 4, 4), 96), ((2, 4, 4, 4), 128), ((3, 4, 4, 4), 192),
+         ((4, 4, 4, 4), 256), ((2, 2, 6, 6, 7), 1511)],
+    )
+    def test_orbit_walk_certifies_at_the_root(self, sizes, rn):
+        result = solve(HammingGraph(sizes))
+        assert result.optimal
+        assert result.rn == result.lower_bound == rn
+        assert result.nodes_explored == 0
+        assert oracles.radio_valid(sizes, result.witness)
+
+    @pytest.mark.parametrize("written", [((4, 2), (2, 4)), ((2, 2, 6, 6, 7), (2, 6, 2, 7, 6))])
+    def test_factor_order_does_not_change_the_solve(self, written):
+        results = [solve(HammingGraph(sizes)) for sizes in written]
+        assert all(r.optimal for r in results)
+        assert len({(r.rn, r.nodes_explored) for r in results}) == 1
 
     @pytest.mark.parametrize("sizes", [(2, 2, 3), (2, 3, 3), (2, 2, 2), (2, 2, 4), (2, 2, 5)])
     def test_run_length_bound_meets_incumbent(self, sizes, monkeypatch):
@@ -239,7 +258,7 @@ class TestRootCertificate:
         assert validate(g, result.witness).valid
 
     def test_spent_time_budget_builds_no_distance_matrix(self, monkeypatch):
-        # 2x2x6x6x7 has no closed form, its orbit incumbent (span 1512) is
+        # 3x3x3x6x7 has no closed form, its orbit incumbent (span 1503) is
         # above its root bound and the searches run until the budget is spent;
         # an N x N distance matrix would take N^2 distances and 8 N^2 bytes
         calls = 0
@@ -252,7 +271,7 @@ class TestRootCertificate:
         for mod in (labeling_mod, exceptional_mod, solver_mod):
             if hasattr(mod, "hamming"):
                 monkeypatch.setattr(mod, "hamming", counting_hamming)
-        g = HammingGraph((2, 2, 6, 6, 7))
+        g = HammingGraph((3, 3, 3, 6, 7))
         n = g.vertex_count
         tracemalloc.start()
         try:
@@ -269,7 +288,7 @@ class TestRootCertificate:
         assert report.span == result.rn
 
     def test_spent_time_budget_keeps_only_the_first_incumbent(self, monkeypatch):
-        # 2x2x6x6x7 has no closed form and its orbit incumbent is not
+        # 3x3x3x6x7 has no closed form and its orbit incumbent is not
         # certified: one labeled ordering is the witness, however short the
         # budget
         calls = 0
@@ -281,7 +300,7 @@ class TestRootCertificate:
             return span_of_ordering(g, ordering)
 
         monkeypatch.setattr(solver_mod, "span_of_ordering", counting_span)
-        g = HammingGraph((2, 2, 6, 6, 7))
+        g = HammingGraph((3, 3, 3, 6, 7))
         result = solve(g, SolverConfig(time_budget=1e-6))
         assert calls == 1
         assert not result.optimal
@@ -345,7 +364,7 @@ class TestSolverInvariants:
         assert oracles.jump_lower_bound(g.vertex_count, run) <= result.rn
 
     @pytest.mark.parametrize(
-        "sizes,budget,rn", [((2, 2, 2, 2), 120, 30), ((2, 2, 2, 3), 253, 35), ((2,) * 5, 433, 62)]
+        "sizes,budget,rn", [((2,) * 6, 2146, 157), ((2, 2, 2, 3), 253, 35), ((2,) * 5, 433, 62)]
     )
     def test_stops_at_the_root_bound(self, sizes, budget, rn):
         # the branch and bound ends at the first ordering that meets the root
@@ -365,8 +384,8 @@ class TestSolverInvariants:
             assert result.optimal or result.rn > result.lower_bound
 
     def test_budget_exhaustion_returns_valid_incumbent(self):
-        # 100 nodes stop short of the 120 that certify K_2^4
-        g = HammingGraph((2, 2, 2, 2))
+        # 100 nodes stop short of the 253 that certify 2x2x2x3
+        g = HammingGraph((2, 2, 2, 3))
         result = solve(g, SolverConfig(node_budget=100))
         assert not result.optimal
         report = validate(g, result.witness)
