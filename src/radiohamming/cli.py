@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from contextlib import contextmanager
 
@@ -32,7 +31,7 @@ from .labeling import (
     validate,
     write_labeling_csv,
 )
-from .ordering import ConstructionError, build_ordering
+from .ordering import ConstructionError, build_blocks, build_ordering
 from .solver import SolveResult, SolverConfig, SolverError, solve
 
 EXIT_OK = 0
@@ -117,8 +116,8 @@ def cmd_order(args) -> int:
         return EXIT_USAGE
     if permutation:
         print(f"note: factors sorted to {g} (isomorphic to {args.spec})", file=sys.stderr)
-    ordering = build_ordering(*g.factor_sizes)
-    rows = math.lcm(*g.factor_sizes)
+    blocks = build_blocks(*g.factor_sizes)
+    ordering = [v for block in blocks for v in block]
     graceful = check_graceful(g, ordering).graceful
     if not graceful:
         print(
@@ -137,20 +136,20 @@ def cmd_order(args) -> int:
             if permutation:
                 payload["factor_permutation"] = permutation
             if args.blocks:
-                payload["blocks"] = [
-                    [format_vertex(v) for v in ordering[start : start + rows]]
-                    for start in range(0, len(ordering), rows)
-                ]
+                payload["blocks"] = [[format_vertex(v) for v in block] for block in blocks]
             else:
                 payload["ordering"] = [format_vertex(v) for v in ordering]
             _print_json(payload, out)
         else:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(["position", "vertex"])
-            for position, v in enumerate(ordering):
-                if args.blocks and position and position % rows == 0:
-                    out.write(f"# block {position // rows + 1}\n")
-                writer.writerow([position + 1, format_vertex(v)])
+            position = 0
+            for k, block in enumerate(blocks):
+                if args.blocks and k:
+                    out.write(f"# block {k + 1}\n")
+                for v in block:
+                    position += 1
+                    writer.writerow([position, format_vertex(v)])
     return EXIT_OK
 
 

@@ -10,14 +10,14 @@ graceful, so its radio number is lmn, except for two families:
   labels (a six-step chain of pairwise constraints forces the seventh vertex
   to equal the first), so two label jumps are forced among 18 vertices.
 
-For 2x2xn this module holds a vertex ordering whose tight labeling
-(span_of_ordering) is optimal; for 2x3x3 the block construction's is
-(ordering_233).  It is the one place that maps factor sizes to their
-family (formula_sizes) and any graph to its ordering
-(constructive_ordering).  Its search_orderings, the one depth-first search
-over vertex orderings with greedy labels, finds the longest run of
-consecutive labels, fills the solver's climb table and runs its branch and
-bound, where a run length becomes a lower bound.
+For both families the block construction's tight labeling
+(span_of_ordering) is optimal (ordering_22n, ordering_233).  This module
+is the one place that maps factor sizes to their family (formula_sizes)
+and any graph to its ordering (constructive_ordering).  Its
+search_orderings, the one depth-first search over vertex orderings with
+greedy labels, finds the longest run of consecutive labels, fills the
+solver's climb table and runs its branch and bound, where a run length
+becomes a lower bound.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .graphs import HammingGraph, Vertex, check_materializable
+from .graphs import HammingGraph, Vertex
 from .labeling import next_label
 from .ordering import build_ordering
 
@@ -102,16 +102,13 @@ def formula_sizes(sizes: Sequence[int]) -> tuple[int, int, int]:
 
 def constructive_ordering(sizes: Sequence[int]) -> list[Vertex]:
     """Vertex ordering of any Hamming graph, in the caller's coordinates
-    (factors in any order, of size 1 too): ordering_22n for 2x2 and 2x2xn,
-    otherwise build_ordering of the factors >= 2 in ascending order.  Its
-    tight labeling has the closed form's span wherever formula_sizes
-    applies; elsewhere it is the solver's first incumbent."""
+    (factors in any order, of size 1 too): build_ordering of the factors
+    >= 2 in ascending order.  Its tight labeling has the closed form's span
+    wherever formula_sizes applies, 2x2 and 2x2xn included; elsewhere it is
+    the solver's first incumbent."""
     HammingGraph(tuple(sizes))  # rejects sizes that are no graph
     nontrivial = sorted(s for s in sizes if s >= 2)
-    if nontrivial[:2] == [2, 2] and len(nontrivial) <= 3:
-        order = ordering_22n(math.prod(nontrivial) // 4)
-    else:
-        order = build_ordering(*nontrivial) if nontrivial else [()]
+    order = build_ordering(*nontrivial) if nontrivial else [()]
     # Pad the vertices with the size-1 factors, which sort first, then move
     # every coordinate back to its factor's place in sizes.
     pad = (1,) * (len(sizes) - len(order[0]))
@@ -130,65 +127,15 @@ def ordering_233() -> list[Vertex]:
     return build_ordering(2, 3, 3)
 
 
-# Base orderings for K_2 x K_2 x K_n.  n = 1 degenerates to K_2 x K_2 with
-# two-coordinate vertices.  Even n starts from nothing: the first appended
-# block is the n = 2 ordering.  The n = 3 base induces the tight labels
-# 1,2,4,5,...,16,17; even-n orderings end with (1,1,n),(2,2,n-1) and the
-# n = 3 ordering ends with (1,2,3), which is what the append step relies on.
-_ORDER_2X2: tuple[Vertex, ...] = ((1, 1), (2, 2), (2, 1), (1, 2))
-
-_ORDER_2X2X3: tuple[Vertex, ...] = (
-    (1, 1, 1),
-    (2, 2, 2),
-    (2, 1, 1),
-    (1, 2, 2),
-    (2, 2, 1),
-    (1, 1, 3),
-    (1, 2, 1),
-    (2, 1, 3),
-    (1, 1, 2),
-    (2, 2, 3),
-    (2, 1, 2),
-    (1, 2, 3),
-)
-
-
-def _append_block(n_prev: int) -> list[Vertex]:
-    """Eight vertices extending an ordering of K_2 x K_2 x K_{n_prev} by two
-    new last-coordinate values; their tight labels are 6*n_prev + 1, +2, +4,
-    +5, +7, +8, +10, +11."""
-    a, b = n_prev + 1, n_prev + 2
-    return [
-        (1, 1, a),
-        (2, 2, b),
-        (2, 1, a),
-        (1, 2, b),
-        (2, 1, b),
-        (1, 2, a),
-        (1, 1, b),
-        (2, 2, a),
-    ]
-
-
 def ordering_22n(n: int) -> list[Vertex]:
-    """Vertex ordering of K_2 x K_2 x K_n whose tight labeling has span 6n-1.
-
-    For n = 1 the graph degenerates to K_2 x K_2 and the vertices are
-    two-coordinate.  Otherwise the ordering grows from nothing (even n) or
-    the n = 3 base (odd n) by appending one eight-vertex block per two new
-    K_n values.  Its tight labeling (span_of_ordering) gives position i the
-    i-th positive integer not divisible by 3 (1, 2, 4, 5, 7, 8, ...).
-    Raises GraphError above graphs.MAX_MATERIALIZED_VERTICES vertices.
-    """
+    """Ordering of K_2 x K_2 x K_n whose tight labeling (span_of_ordering)
+    has span 6n-1: the block construction, of K_2 x K_2 with two-coordinate
+    vertices for n = 1.  Its tight labeling gives position i the i-th
+    positive integer not divisible by 3 (1, 2, 4, 5, 7, 8, ...).  Raises
+    GraphError above graphs.MAX_MATERIALIZED_VERTICES vertices."""
     if n < 1:
         raise FormulaDomainError(f"need n >= 1, got {n}")
-    check_materializable(4 * n, f"2x2x{n}")
-    if n == 1:
-        return list(_ORDER_2X2)
-    order = list(_ORDER_2X2X3) if n % 2 else []
-    for n_prev in range(3 if n % 2 else 0, n, 2):
-        order.extend(_append_block(n_prev))
-    return order
+    return build_ordering(2, 2, n) if n > 1 else build_ordering(2, 2)
 
 
 def search_orderings(

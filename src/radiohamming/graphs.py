@@ -111,7 +111,10 @@ def parse_vertex(text: str) -> Vertex:
     s = text.strip()
     if not _VERTEX_RE.match(s):
         raise GraphError(f"malformed vertex {text!r}, expected e.g. '(1,2,3)'")
-    return tuple(int(p) for p in s[1:-1].split(","))
+    try:
+        return tuple(int(p) for p in s[1:-1].split(","))
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise GraphError(f"coordinate too long in vertex {text[:40]!r}...") from None
 
 
 def format_vertex(v: Vertex) -> str:

@@ -222,6 +222,15 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_coordinate_above_the_int_digit_limit_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text(f'vertex,label\n"({"1" * 5000},1)",1\n')  # int() takes 4,300 digits
+        code, out, err = run_cli(["verify", "2x2", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_partial_labeling_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "partial.csv"
         path.write_text('vertex,label\n"(1,1,1)",1\n')

@@ -97,6 +97,19 @@ def test_constructive_ordering_meets_the_formula(sizes, rn):
     assert span_of_ordering(g, order)[1] == rn
 
 
+@pytest.mark.parametrize("sizes", [(2, 2), (1, 2, 2), (2, 2, 7), (7, 2, 2), (2, 1, 2, 5)])
+def test_constructive_ordering_is_the_walk_of_the_ascending_factors(sizes):
+    # factor i of sizes takes the coordinate of its place in a stable
+    # ascending sort, where the size-1 factors come first and read 1
+    by_size = sorted(range(len(sizes)), key=lambda i: sizes[i])
+    walk = build_ordering(*sorted(s for s in sizes if s >= 2))
+    expected = []
+    for v in walk:
+        padded = (1,) * (len(sizes) - len(v)) + v
+        expected.append(tuple(padded[by_size.index(i)] for i in range(len(sizes))))
+    assert constructive_ordering(sizes) == expected
+
+
 class TestLabeling233:
     def test_pinned_entries(self):
         lab = tight_233()
@@ -121,7 +134,7 @@ class TestLabeling233:
 class TestLabeling22n:
     def test_n1_square(self):
         lab = tight_22n(1)
-        assert lab == {(1, 1): 1, (2, 2): 2, (2, 1): 4, (1, 2): 5}
+        assert lab == {(1, 1): 1, (2, 2): 2, (1, 2): 4, (2, 1): 5}
         report = validate(HammingGraph((2, 2)), lab)
         assert report.valid
         assert report.span == 5
@@ -129,8 +142,8 @@ class TestLabeling22n:
     def test_n2_order_and_labels(self):
         order = ordering_22n(2)
         assert order == [
-            (1, 1, 1), (2, 2, 2), (2, 1, 1), (1, 2, 2),
-            (2, 1, 2), (1, 2, 1), (1, 1, 2), (2, 2, 1),
+            (1, 1, 1), (2, 2, 2), (1, 1, 2), (2, 2, 1),
+            (1, 2, 2), (2, 1, 1), (1, 2, 1), (2, 1, 2),
         ]
         lab = tight_22n(2)
         assert [lab[v] for v in order] == [1, 2, 4, 5, 7, 8, 10, 11]
@@ -140,15 +153,18 @@ class TestLabeling22n:
         order = ordering_22n(3)
         lab = tight_22n(3)
         assert [lab[v] for v in order] == [1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17]
-        assert order[-1] == (1, 2, 3)
+        assert order[-1] == (2, 1, 3)
         assert validate(HammingGraph((2, 2, 3)), lab).valid
 
-    def test_n4_append_block(self):
+    def test_n4_order_and_labels(self):
         order = ordering_22n(4)
-        assert order[:8] == ordering_22n(2)
+        assert order[:8] == [
+            (1, 1, 1), (2, 2, 2), (1, 1, 3), (2, 2, 4),
+            (1, 1, 2), (2, 2, 3), (1, 1, 4), (2, 2, 1),
+        ]
         assert order[8:] == [
-            (1, 1, 3), (2, 2, 4), (2, 1, 3), (1, 2, 4),
-            (2, 1, 4), (1, 2, 3), (1, 1, 4), (2, 2, 3),
+            (1, 2, 2), (2, 1, 3), (1, 2, 4), (2, 1, 1),
+            (1, 2, 3), (2, 1, 4), (1, 2, 1), (2, 1, 2),
         ]
         lab = tight_22n(4)
         assert [lab[v] for v in order[8:]] == [13, 14, 16, 17, 19, 20, 22, 23]
@@ -163,13 +179,8 @@ class TestLabeling22n:
         assert report.span == 6 * n - 1
 
     @pytest.mark.parametrize("n", [2, 4, 6, 7, 9, 12, 25])
-    def test_even_style_ending_from_n4_on(self, n):
-        # n = 3 is the only odd-style ending; one append normalizes it
-        order = ordering_22n(n)
-        if n == 3:
-            assert order[-1] == (1, 2, 3)
-        else:
-            assert order[-2:] == [(1, 1, n), (2, 2, n - 1)]
+    def test_is_the_block_construction(self, n):
+        assert ordering_22n(n) == build_ordering(2, 2, n)
 
     @pytest.mark.parametrize("n", range(1, 51))
     def test_greedy_reproduces_the_tight_labels(self, n):
@@ -179,6 +190,14 @@ class TestLabeling22n:
         assert span == 6 * n - 1
         assert [labeling[v] for v in order] == tight_labels(4 * n)
         assert labeling == dict(zip(order, tight_labels(4 * n)))
+
+    @pytest.mark.parametrize("n", [97, 200, 1001])
+    def test_walk_is_optimal_past_fifty(self, n):
+        order = ordering_22n(n)
+        assert order == build_ordering(2, 2, n)
+        labeling, span = span_of_ordering(graph_22n(n), order)
+        assert span == 6 * n - 1
+        assert oracles.radio_valid((2, 2, n), labeling)
 
     def test_rejects_n_below_one(self):
         with pytest.raises(FormulaDomainError):

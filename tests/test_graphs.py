@@ -126,6 +126,17 @@ def test_parse_graph_raises_only_graph_error(text):
     assert all(type(s) is int and s >= 1 for s in g.factor_sizes)
 
 
+@given(st.text())
+@example("(1,2)")
+@example("(" + "1" * 5000 + ",1)")
+def test_parse_vertex_raises_only_graph_error(text):
+    try:
+        v = parse_vertex(text)
+    except GraphError:
+        return
+    assert v and all(type(c) is int and c >= 0 for c in v)
+
+
 def test_parse_errors():
     for bad in ["", "2x", "x3", "2x-1", "2,3", "axb", "2x³", "²x3", "2x+3", "2x3_0"]:
         with pytest.raises(GraphError, match="malformed graph spec"):
