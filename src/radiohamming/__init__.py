@@ -4,7 +4,6 @@ from .exceptional import (
     FormulaDomainError,
     RnFormulaResult,
     RunSearchBudgetError,
-    constructive_ordering,
     formula_sizes,
     max_consecutive_run,
     ordering_22n,
@@ -33,7 +32,6 @@ from .labeling import (
     write_labeling_csv,
 )
 from .ordering import (
-    ConstructionError,
     build_blocks,
     build_ordering,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "GracefulReport",
     "HammingGraph",
     "LabelingError",
-    "ConstructionError",
     "RadioLabeling",
     "RnFormulaResult",
     "RunSearchBudgetError",
@@ -65,7 +62,6 @@ __all__ = [
     "build_blocks",
     "build_ordering",
     "check_graceful",
-    "constructive_ordering",
     "format_vertex",
     "formula_sizes",
     "max_consecutive_run",

@@ -16,12 +16,7 @@ import json
 import sys
 from contextlib import contextmanager
 
-from .exceptional import (
-    FormulaDomainError,
-    constructive_ordering,
-    formula_sizes,
-    radio_number_formula,
-)
+from .exceptional import FormulaDomainError, formula_sizes, radio_number_formula
 from .graphs import GraphError, HammingGraph, format_vertex, parse_graph
 from .labeling import (
     LabelingError,
@@ -31,7 +26,7 @@ from .labeling import (
     validate,
     write_labeling_csv,
 )
-from .ordering import ConstructionError, build_blocks, build_ordering
+from .ordering import build_blocks, build_ordering
 from .solver import SolveResult, SolverConfig, SolverError, solve
 
 EXIT_OK = 0
@@ -107,24 +102,13 @@ def _print_json(payload: dict, out) -> None:
 
 def cmd_order(args) -> int:
     g, permutation = _sorted_graph(args.spec)
-    if len(g.factor_sizes) != 3 or g.factor_sizes[0] < 2:
-        print(
-            f"error: ordering construction needs exactly three factors >= 2, "
-            f"got {args.spec!r}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     if permutation:
         print(f"note: factors sorted to {g} (isomorphic to {args.spec})", file=sys.stderr)
     blocks = build_blocks(*g.factor_sizes)
     ordering = [v for block in blocks for v in block]
     graceful = check_graceful(g, ordering).graceful
     if not graceful:
-        print(
-            f"warning: {g} is exceptional; "
-            "this ordering is a bijection but not graceful",
-            file=sys.stderr,
-        )
+        print(f"warning: this ordering of {g} is a bijection but not graceful", file=sys.stderr)
     with _open_output(args.output) as out:
         if args.format == "json":
             payload = {
@@ -209,7 +193,7 @@ def cmd_label(args) -> int:
     if permutation:
         print(f"note: factors sorted to {g} (isomorphic to {args.spec})", file=sys.stderr)
     formula_sizes(g.factor_sizes)  # no closed form, no optimal labeling: exit 2
-    labeling, span = span_of_ordering(g, constructive_ordering(g.factor_sizes))
+    labeling, span = span_of_ordering(g, build_ordering(*g.factor_sizes))
     with _open_output(args.output) as out:
         write_labeling_csv(out, labeling)
     if not args.certify:
@@ -332,7 +316,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
-    except (GraphError, ConstructionError, FormulaDomainError, LabelingError, OSError) as exc:
+    except (GraphError, FormulaDomainError, LabelingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:

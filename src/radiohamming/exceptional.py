@@ -12,8 +12,8 @@ graceful, so its radio number is lmn, except for two families:
 
 For both families the block construction's tight labeling
 (span_of_ordering) is optimal (ordering_22n, ordering_233).  This module
-is the one place that maps factor sizes to their family (formula_sizes)
-and any graph to its ordering (constructive_ordering).  Its
+is the one place that maps factor sizes to their family (formula_sizes);
+ordering.build_ordering maps any sizes to their ordering.  Its
 search_orderings, the one depth-first search over vertex orderings with
 greedy labels, finds the longest run of consecutive labels, fills the
 solver's climb table and runs its branch and bound, where a run length
@@ -98,25 +98,6 @@ def formula_sizes(sizes: Sequence[int]) -> tuple[int, int, int]:
             "(need three factors >= 2, or the degenerate 2x2)"
         )
     return nontrivial  # type: ignore[return-value]
-
-
-def constructive_ordering(sizes: Sequence[int]) -> list[Vertex]:
-    """Vertex ordering of any Hamming graph, in the caller's coordinates
-    (factors in any order, of size 1 too): build_ordering of the factors
-    >= 2 in ascending order.  Its tight labeling has the closed form's span
-    wherever formula_sizes applies, 2x2 and 2x2xn included; elsewhere it is
-    the solver's first incumbent."""
-    HammingGraph(tuple(sizes))  # rejects sizes that are no graph
-    nontrivial = sorted(s for s in sizes if s >= 2)
-    order = build_ordering(*nontrivial) if nontrivial else [()]
-    # Pad the vertices with the size-1 factors, which sort first, then move
-    # every coordinate back to its factor's place in sizes.
-    pad = (1,) * (len(sizes) - len(order[0]))
-    by_size = sorted(range(len(sizes)), key=sizes.__getitem__)
-    if by_size == sorted(by_size):  # sizes ascending: every coordinate in place
-        return [pad + v for v in order] if pad else order
-    back = operator.itemgetter(*(by_size.index(i) for i in range(len(sizes))))
-    return [back(pad + v) for v in order]
 
 
 def ordering_233() -> list[Vertex]:

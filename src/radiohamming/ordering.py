@@ -1,58 +1,63 @@
 """Consecutive vertex orderings of Hamming graphs in diagonal-orbit blocks.
 
-For K_{n1} x ... x K_{nk} with all sizes >= 2, each block is one orbit of
-the diagonal shift v -> v + (1, ..., 1): L = lcm(n1, ..., nk) rows, each
-row the previous one +1 cyclically in every coordinate, so a block is
-determined by its first row, its seed.  Block 1 is seeded at (1, ..., 1),
-and each next seed is the previous one +1 in the last coordinate whose
-orbit is not yet placed.  This walk places every orbit: it finishes the
-orbits that steps in the coordinates after j reach before it steps j.  For
-three factors it is the paper's recurrence, and away from the exceptional
-families (2,2,n) and (2,3,3) the flattened blocks' consecutive labeling is
-a radio labeling, making the graph radio graceful.
+For K_{n1} x ... x K_{nk}, factors in any order and of size 1 too, each
+block is one orbit of the diagonal shift v -> v + (1, ..., 1): L = lcm(n1,
+..., nk) rows, each row the previous one +1 cyclically in every coordinate,
+so a block is determined by its first row, its seed.  Block 1 is seeded at
+(1, ..., 1).  The walk takes the coordinates in ascending size order, and
+each next seed is the previous one +1 in the last of them whose orbit is
+not yet placed; a size-1 coordinate is constant and never stepped.  This
+walk places every orbit: it finishes the orbits that steps in the
+coordinates after j reach before it steps j.  For three factors it is the
+paper's recurrence, and away from the exceptional families (2,2,n) and
+(2,3,3) the flattened blocks' consecutive labeling is a radio labeling,
+making the graph radio graceful.
 """
 
 from __future__ import annotations
 
 import math
 
-from .graphs import Vertex, check_materializable
-
-
-class ConstructionError(ValueError):
-    """The ordering construction needs factor sizes, all >= 2."""
+from .graphs import HammingGraph, Vertex, check_materializable
 
 
 def build_blocks(*sizes: int) -> list[list[Vertex]]:
-    """All N / L blocks in order, each as its L rows, by the orbit walk.
-    Raises ConstructionError without a size or for a size below 2, and
-    GraphError above graphs.MAX_MATERIALIZED_VERTICES vertices."""
-    if not sizes or min(sizes) < 2:
-        raise ConstructionError(f"construction needs all factor sizes >= 2, got {sizes}")
-    count = math.prod(sizes)
-    check_materializable(count, "x".join(map(str, sizes)))
+    """All N / L blocks in order, each as its L rows, by the orbit walk, in
+    the caller's coordinates.  Raises GraphError for sizes that are no graph
+    and above graphs.MAX_MATERIALIZED_VERTICES vertices."""
+    g = HammingGraph(sizes)
+    check_materializable(g.vertex_count, g)
     rows = math.lcm(*sizes)
     columns = [[r % n + 1 for r in range(rows)] for n in sizes]
+    by_size = sorted(range(len(sizes)), key=sizes.__getitem__)
+    steps = [c for c in reversed(by_size) if sizes[c] > 1]
+    stride = min((n for n in sizes if n > 1), default=1)
     blocks = [list(zip(*columns))]
-    placed = set(blocks[0][:: sizes[0]])  # each placed orbit's rows with first coordinate 1
-    for _ in range(1, count // rows):
+    # each placed orbit's rows with the smallest factor >= 2 at 1: the walk
+    # tries that coordinate last and never steps it
+    placed = set(blocks[0][::stride])
+    for _ in range(1, g.vertex_count // rows):
         # the seed is row 0, so columns[c][1] is its coordinate c plus 1
-        seed, c = blocks[-1][0], len(sizes) - 1
-        while seed[:c] + (columns[c][1],) + seed[c + 1 :] in placed:
-            c -= 1  # that orbit is placed: try the coordinate before
+        seed = blocks[-1][0]
+        for c in steps:
+            if seed[:c] + (columns[c][1],) + seed[c + 1 :] not in placed:
+                break
         # L is a multiple of every size, so the +1 shift of a column's
         # values is the rotation of the column by one row
         columns[c] = columns[c][1:] + columns[c][:1]
         blocks.append(list(zip(*columns)))
-        placed.update(blocks[-1][:: sizes[0]])
+        placed.update(blocks[-1][::stride])
     return blocks
 
 
 def build_ordering(*sizes: int) -> list[Vertex]:
     """The full vertex ordering: blocks flattened row-major.
 
-    Always a bijection onto the vertex set; for three factors the induced
-    consecutive labeling is a radio labeling except for the families
-    (2,2,n) and (2,3,3).
+    Always a bijection onto the vertex set.  Its tight labeling
+    (span_of_ordering) has the closed form's span wherever
+    exceptional.formula_sizes applies, 2x2 and 2x2xn included; elsewhere it
+    is the solver's first incumbent.  For three factors the consecutive
+    labeling is a radio labeling except for the families (2,2,n) and
+    (2,3,3).
     """
     return [v for block in build_blocks(*sizes) for v in block]

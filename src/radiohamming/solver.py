@@ -12,7 +12,7 @@ least greedy climb f(x_w) - f(x_1) over w distinct vertices, and any s
 vertices consecutive in label order climb at least C(s).  The run search
 gives m[w] = w - 1 for w <= r and m[r + 1] >= r + 1, so 1 + C(N) is at least
 the jump bound N + ceil(N / r) - 1; search_orderings fills w = r + 1, r + 2,
-... exactly.  The first incumbent labels constructive_ordering; one of
+... exactly.  The first incumbent labels build_ordering; one of
 span 1 + C(N) is optimal with no search nodes, and one of span N needs no
 run search.  Below the root, the branch and bound is the same search at
 w = N: a vertex at depth d is kept only when its label is below
@@ -30,10 +30,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .exceptional import RunSearchBudgetError, constructive_ordering
-from .exceptional import max_consecutive_run, search_orderings
+from .exceptional import RunSearchBudgetError, max_consecutive_run, search_orderings
 from .graphs import HammingGraph
 from .labeling import RadioLabeling, span_of_ordering, validate
+from .ordering import build_ordering
 
 _RUN_SEARCH_CAP = 200_000
 
@@ -145,7 +145,7 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
     started = time.perf_counter()
     n = g.vertex_count
     deadline = started + cfg.time_budget
-    best_lab, bound = span_of_ordering(g, constructive_ordering(g.factor_sizes))
+    best_lab, bound = span_of_ordering(g, build_ordering(*g.factor_sizes))
 
     # Root certificate: rn >= 1 + C(N) >= N
     table = _climb_table(g, bound, deadline)

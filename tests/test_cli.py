@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiohamming import (
     HammingGraph,
@@ -84,10 +87,12 @@ class TestOrder:
         assert rows[19] == ["19", "(1,2,3)"]
         assert len(rows) == 55
 
-    def test_two_factor_spec_is_usage_error(self, capsys):
-        code, _, err = run_cli(["order", "2x2"], capsys)
-        assert code == 2
-        assert "three factors" in err
+    def test_two_factor_spec_warns_but_emits(self, capsys):
+        code, out, err = run_cli(["order", "2x2"], capsys)
+        assert code == 0
+        assert "warning: this ordering of 2x2 is a bijection but not graceful" in err
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 5  # header + 4 vertices
 
     def test_exceptional_warns_but_emits(self, capsys):
         code, out, err = run_cli(["order", "2x2x4"], capsys)
@@ -529,3 +534,19 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rn"] == 20
+
+
+# at most four factors of at most one character each, so no spec lists more
+# than 9^4 vertices; "--" keeps a spec that starts with "-" a positional
+FUZZ_SPECS = st.builds(
+    str.join,
+    st.sampled_from(["x", "X", "xx", " x ", "*"]),
+    st.lists(st.text(alphabet="0123456789²+- ", max_size=1), max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["order", "label", "rn"]), spec=FUZZ_SPECS)
+def test_any_spec_exits_0_or_2(command, spec):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([command, "--", spec]) in (0, 2)

@@ -9,7 +9,6 @@ from radiohamming import (
     HammingGraph,
     RunSearchBudgetError,
     build_ordering,
-    constructive_ordering,
     formula_sizes,
     max_consecutive_run,
     ordering_22n,
@@ -84,7 +83,7 @@ class TestFormula:
 )
 def test_constructive_ordering_meets_the_formula(sizes, rn):
     g = HammingGraph(sizes)
-    order = constructive_ordering(sizes)
+    order = build_ordering(*sizes)
     assert verify_bijection(g, order)
     if rn is None:
         # no closed form, but still an ordering: the diagonal orbits, whose
@@ -107,7 +106,7 @@ def test_constructive_ordering_is_the_walk_of_the_ascending_factors(sizes):
     for v in walk:
         padded = (1,) * (len(sizes) - len(v)) + v
         expected.append(tuple(padded[by_size.index(i)] for i in range(len(sizes))))
-    assert constructive_ordering(sizes) == expected
+    assert build_ordering(*sizes) == expected
 
 
 class TestLabeling233:

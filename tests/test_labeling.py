@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import itertools
 import math
 from pathlib import Path
@@ -367,3 +368,13 @@ def test_labeling_csv_errors(tmp_path):
     latin.write_bytes('vertex,label\n"(1,1)",1 \xe9\n'.encode("latin-1"))
     with pytest.raises(LabelingError, match="is not .* text"):
         read_labeling_csv(str(latin))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.text(alphabet='(),0123456789-_ "\n\r').map("vertex,label\n".__add__))
+def test_read_labeling_csv_raises_only_labeling_error(text):
+    try:
+        labeling = read_labeling_csv(io.StringIO(text))
+    except LabelingError:
+        return
+    assert isinstance(labeling, dict)

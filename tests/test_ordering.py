@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from radiohamming import (
-    ConstructionError,
     GraphError,
     HammingGraph,
     build_blocks,
@@ -71,10 +70,12 @@ def test_params_2x2x2():
 
 
 def test_params_rejects_small_factors():
-    with pytest.raises(ConstructionError):
-        build_blocks(1, 3, 3)
-    with pytest.raises(ConstructionError):
-        build_blocks(2, 2, 1)
+    # a size-1 factor is a constant coordinate; sizes below 1 are no graph
+    assert build_blocks(2, 2, 1) == [[v + (1,) for v in b] for b in build_blocks(2, 2)]
+    with pytest.raises(GraphError):
+        build_blocks()
+    with pytest.raises(GraphError):
+        build_blocks(0, 3)
 
 
 def test_seed_examples_3x3x6():
@@ -111,8 +112,11 @@ def test_ordering_2x2x2_bijective_but_not_graceful():
 
 
 def test_ordering_rejects_small_factors():
-    with pytest.raises(ConstructionError):
-        build_ordering(2, 2, 1)
+    assert build_ordering(2, 2, 1) == [v + (1,) for v in build_ordering(2, 2)]
+    with pytest.raises(GraphError):
+        build_ordering()
+    with pytest.raises(GraphError):
+        build_ordering(0, 3)
 
 
 def test_ordering_refuses_huge_sizes_before_allocating():
@@ -204,6 +208,21 @@ def test_orbit_walk_is_a_bijection_for_any_number_of_factors(factors):
                 nxt == tuple(c % s + 1 for c, s in zip(row, sizes))
                 for row, nxt in zip(rows, rows[1:])
             ), sizes
+
+
+@pytest.mark.parametrize("sizes", [(4, 2), (3, 4, 2, 2), (2, 1, 2, 5), (1, 2, 3, 3), (3, 4, 5)])
+def test_one_walk_serves_every_factor_order(sizes):
+    # the walk of the ascending sizes with coordinate j moved back to the
+    # factor that a stable ascending sort puts at place j
+    for perm in set(itertools.permutations(sizes)):
+        by_size = sorted(range(len(perm)), key=perm.__getitem__)
+        expected = [
+            tuple(v[by_size.index(i)] for i in range(len(perm)))
+            for v in build_ordering(*sorted(perm))
+        ]
+        ordering = build_ordering(*perm)
+        assert ordering == expected, perm
+        assert oracles.is_bijection(perm, ordering), perm
 
 
 def test_orbit_walk_seeds_are_the_papers_up_to_12():

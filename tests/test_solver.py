@@ -235,6 +235,13 @@ class TestRootCertificate:
         assert all(r.optimal for r in results)
         assert len({(r.rn, r.nodes_explored) for r in results}) == 1
 
+    def test_factor_order_does_not_change_a_budgeted_solve(self):
+        # 2x2x3x3 is not certified in 2,000 nodes: the same incumbent, bound
+        # and node count in any factor order
+        results = [solve(HammingGraph(sizes), SolverConfig(node_budget=2000))
+                   for sizes in [(3, 3, 2, 2), (2, 2, 3, 3), (2, 3, 2, 3)]]
+        assert len({(r.rn, r.lower_bound, r.optimal, r.nodes_explored) for r in results}) == 1
+
     @pytest.mark.parametrize("sizes", [(2, 2, 3), (2, 3, 3), (2, 2, 2), (2, 2, 4), (2, 2, 5)])
     def test_run_length_bound_meets_incumbent(self, sizes, monkeypatch):
         # the run-seeded table meets the incumbent, so no entry is searched
