@@ -4,7 +4,6 @@ from .exceptional import (
     FormulaDomainError,
     RnFormulaResult,
     RunSearchBudgetError,
-    formula_sizes,
     max_consecutive_run,
     ordering_22n,
     ordering_233,
@@ -63,7 +62,6 @@ __all__ = [
     "build_ordering",
     "check_graceful",
     "format_vertex",
-    "formula_sizes",
     "max_consecutive_run",
     "ordering_22n",
     "ordering_233",

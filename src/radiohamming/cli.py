@@ -16,7 +16,7 @@ import json
 import sys
 from contextlib import contextmanager
 
-from .exceptional import FormulaDomainError, formula_sizes, radio_number_formula
+from .exceptional import FormulaDomainError, radio_number_formula
 from .graphs import GraphError, HammingGraph, format_vertex, parse_graph
 from .labeling import (
     LabelingError,
@@ -151,11 +151,10 @@ def cmd_verify(args) -> int:
 
 def cmd_rn(args) -> int:
     g = parse_graph(args.spec)
-    sizes = formula_sizes(g.factor_sizes)
-    result = radio_number_formula(*sizes)
+    result = radio_number_formula(*g.factor_sizes)
     payload = {
         "spec": args.spec,
-        "normalized": "x".join(str(s) for s in sizes),
+        "normalized": "x".join(map(str, result.sizes)),
         "rn": result.value,
         "case": result.case_tag,
     }
@@ -192,7 +191,7 @@ def cmd_label(args) -> int:
     g, permutation = _sorted_graph(args.spec)
     if permutation:
         print(f"note: factors sorted to {g} (isomorphic to {args.spec})", file=sys.stderr)
-    formula_sizes(g.factor_sizes)  # no closed form, no optimal labeling: exit 2
+    radio_number_formula(*g.factor_sizes)  # no closed form, no optimal labeling: exit 2
     labeling, span = span_of_ordering(g, build_ordering(*g.factor_sizes))
     with _open_output(args.output) as out:
         write_labeling_csv(out, labeling)

@@ -12,12 +12,12 @@ graceful, so its radio number is lmn, except for two families:
 
 For both families the block construction's tight labeling
 (span_of_ordering) is optimal (ordering_22n, ordering_233).  This module
-is the one place that maps factor sizes to their family (formula_sizes);
-ordering.build_ordering maps any sizes to their ordering.  Its
-search_orderings, the one depth-first search over vertex orderings with
-greedy labels, finds the longest run of consecutive labels, fills the
-solver's climb table and runs its branch and bound, where a run length
-becomes a lower bound.
+is the one place that maps factor sizes to their family
+(radio_number_formula); ordering.build_ordering maps any sizes to their
+ordering.  Its search_orderings, the one depth-first search over vertex
+orderings with greedy labels, finds the longest run of consecutive labels,
+fills the solver's climb table and runs its branch and bound, where a run
+length becomes a lower bound.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ import math
 import operator
 import time
 from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .graphs import HammingGraph, Vertex
 from .labeling import next_label
@@ -59,45 +60,35 @@ class RunSearchBudgetError(RuntimeError):
 class RnFormulaResult:
     value: int
     case_tag: str  # "graceful", "two_two_n", or "two_three_three"
+    sizes: tuple[int, int, int]  # the closed form's (n1, n2, n3)
 
 
-def radio_number_formula(n1: int, n2: int, n3: int) -> RnFormulaResult:
-    """Radio number of K_{n1} x K_{n2} x K_{n3} for sorted sizes.
-
-    Requires 2 <= n1 <= n2 <= n3.  The degenerate (2, 2, 1) is also
-    accepted: K_2 x K_2 x K_1 is K_2 x K_2, covered by the 6n - 1 family
-    with n = 1.
-    """
-    if (n1, n2, n3) == (2, 2, 1):
-        return RnFormulaResult(value=5, case_tag="two_two_n")
-    if not (2 <= n1 <= n2 <= n3):
-        raise FormulaDomainError(
-            f"factor sizes must satisfy 2 <= n1 <= n2 <= n3, got {(n1, n2, n3)}"
-        )
-    if (n1, n2) == (2, 2):
-        return RnFormulaResult(value=6 * n3 - 1, case_tag="two_two_n")
-    if (n1, n2, n3) == (2, 3, 3):
-        return RnFormulaResult(value=20, case_tag="two_three_three")
-    return RnFormulaResult(value=n1 * n2 * n3, case_tag="graceful")
-
-
-def formula_sizes(sizes: Sequence[int]) -> tuple[int, int, int]:
-    """The closed form's (n1, n2, n3) for a graph with these factor sizes.
+def radio_number_formula(*sizes: int) -> RnFormulaResult:
+    """Radio number of K_{n1} x ... x K_{nk} by the closed form.
 
     Factors may come in any order; factors of size 1 do not change the
-    graph and are dropped, and the degenerate 2x2 maps to (2, 2, 1).
-    Raises FormulaDomainError unless the graph is diameter-3 or 2x2.
+    graph and are dropped.  The result's sizes are the ascending factors
+    >= 2, and the degenerate 2x2 is (2, 2, 1): K_2 x K_2 x K_1, the 6n - 1
+    family with n = 1.  Raises GraphError for sizes that are no graph and
+    FormulaDomainError unless the graph is diameter-3 or 2x2.
     """
-    HammingGraph(tuple(sizes))  # rejects sizes that are no graph
-    nontrivial = tuple(sorted(s for s in sizes if s >= 2))
-    if nontrivial == (2, 2):
-        return (2, 2, 1)
+    HammingGraph(sizes)
+    nontrivial = sorted(s for s in sizes if s >= 2)
+    if nontrivial == [2, 2]:
+        nontrivial.append(1)
     if len(nontrivial) != 3:
         raise FormulaDomainError(
             f"{'x'.join(map(str, sizes))} is not a diameter-3 Hamming graph "
             "(need three factors >= 2, or the degenerate 2x2)"
         )
-    return nontrivial  # type: ignore[return-value]
+    n1, n2, n3 = nontrivial
+    if (n1, n2) == (2, 2):
+        value, case_tag = 6 * n3 - 1, "two_two_n"
+    elif (n1, n2, n3) == (2, 3, 3):
+        value, case_tag = 20, "two_three_three"
+    else:
+        value, case_tag = n1 * n2 * n3, "graceful"
+    return RnFormulaResult(value, case_tag, (n1, n2, n3))
 
 
 def ordering_233() -> list[Vertex]:
@@ -144,7 +135,7 @@ def search_orderings(
     which loses nothing: Hamming graphs are vertex transitive and values
     within a factor are interchangeable.
 
-    Each candidate that passes the used and symmetry filters is a node.
+    Each unused candidate that passes the symmetry filter is a node.
     The search stops after node_budget nodes or past deadline (perf_counter
     time) and returns (nodes, most vertices placed, reason), the reason
     being "exhausted", "node_budget", "time_budget" or "stopped".
@@ -161,9 +152,10 @@ def search_orderings(
     masks: list[int | None] = [None] * n
     placed: list[int] = []  # vertex indices in label order
     labels: list[int] = []
-    used = [False] * n
-    # a frame per depth: [next candidate index (None once scanned), value limits
-    # or None if none bind, children not yet entered as label * n + index]
+    free = list(range(n))  # the unused vertex indices, ascending
+    # a frame per depth: [position in free of the next candidate (None once
+    # scanned), value limits (None if none bind), children not yet entered as
+    # label * n + index]; a frame resumes on the free list it left
     stack = [[0, [1] * k, array("q")]]
     nodes = deepest = 0
     while stack:
@@ -173,9 +165,8 @@ def search_orderings(
         least = labels[-1] + 1 if labels else 1
         child = None
         if frame[0] is not None:
-            for ci in range(frame[0], n):
-                if used[ci]:
-                    continue
+            for p in range(frame[0], len(free)):
+                ci = free[p]
                 cand = verts[ci]
                 if limit is not None and any(map(operator.gt, cand, limit)):
                     continue
@@ -197,7 +188,7 @@ def search_orderings(
                 if label > least:
                     later.append(label * n + ci)
                     continue
-                frame[0], child = ci + 1, ci
+                frame[0], child = p + 1, ci
                 break
             else:
                 frame[0] = None
@@ -208,7 +199,7 @@ def search_orderings(
         if child is None:
             stack.pop()
             if placed:
-                used[placed.pop()] = False
+                insort(free, placed.pop())
                 labels.pop()
         elif depth == leaf_depth:
             if on_leaf([verts[i] for i in placed] + [verts[child]], labels + [label]):
@@ -216,7 +207,7 @@ def search_orderings(
         else:
             placed.append(child)
             labels.append(label)
-            used[child] = True
+            del free[bisect_left(free, child)]
             if limit is not None:
                 limit = [c + 1 if c == m < s else m for m, c, s in zip(limit, verts[child], sizes)]
             stack.append([0, None if limit == sizes else limit, array("q")])

@@ -55,9 +55,9 @@ def build_ordering(*sizes: int) -> list[Vertex]:
 
     Always a bijection onto the vertex set.  Its tight labeling
     (span_of_ordering) has the closed form's span wherever
-    exceptional.formula_sizes applies, 2x2 and 2x2xn included; elsewhere it
-    is the solver's first incumbent.  For three factors the consecutive
-    labeling is a radio labeling except for the families (2,2,n) and
-    (2,3,3).
+    exceptional.radio_number_formula applies, 2x2 and 2x2xn included;
+    elsewhere it is the solver's first incumbent.  For three factors the
+    consecutive labeling is a radio labeling except for the families
+    (2,2,n) and (2,3,3).
     """
     return [v for block in build_blocks(*sizes) for v in block]

@@ -291,6 +291,13 @@ class TestRn:
         assert payload["normalized"] == "2x3x3"
         assert payload["rn"] == 20
 
+    def test_unsorted_size_one_spec_normalizes(self, capsys):
+        code, out, _ = run_cli(["rn", "3x1x2x2"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["normalized"] == "2x2x3"
+        assert payload["rn"] == 17
+
     def test_certify_budget_exhaustion_exits_3(self, capsys, budget_exhausted):
         code, out, _ = run_cli(["rn", "2x2x5", "--certify"], capsys)
         payload = json.loads(out)
@@ -442,6 +449,16 @@ class TestLabel:
         assert code == 0
         labeling = read_labeling_csv(io.StringIO(out))
         assert validate(HammingGraph((2, 2)), labeling).span == 5
+
+    def test_label_keeps_size_one_factors(self, tmp_path, capsys):
+        path = tmp_path / "l.csv"
+        code, _, _ = run_cli(["label", "1x2x3x3", "-o", str(path)], capsys)
+        assert code == 0
+        code, out, _ = run_cli(["verify", "1x2x3x3", str(path)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["valid"] is True
+        assert payload["span"] == 20
 
     def test_certify_budget_exhaustion_exits_3(self, capsys, budget_exhausted):
         code, out, err = run_cli(["label", "2x2x5", "--certify"], capsys)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -6,10 +7,10 @@ import pytest
 
 from radiohamming import (
     FormulaDomainError,
+    GraphError,
     HammingGraph,
     RunSearchBudgetError,
     build_ordering,
-    formula_sizes,
     max_consecutive_run,
     ordering_22n,
     ordering_233,
@@ -65,14 +66,38 @@ class TestFormula:
         result = radio_number_formula(2, 2, 1)
         assert result.value == 5
         assert result.case_tag == "two_two_n"
+        assert radio_number_formula(2, 2) == radio_number_formula(1, 2, 2) == result
+        assert result.sizes == (2, 2, 1)
 
     def test_rejects_unsorted_or_small(self):
-        with pytest.raises(FormulaDomainError):
-            radio_number_formula(3, 2, 3)
+        # unsorted sizes are the same graph; a size-1 factor leaves two factors
+        assert radio_number_formula(3, 2, 3) == radio_number_formula(2, 3, 3)
         with pytest.raises(FormulaDomainError):
             radio_number_formula(1, 3, 3)
         with pytest.raises(FormulaDomainError):
             radio_number_formula(2, 3, 1)
+
+    def test_any_factor_order_and_size_one_factors(self):
+        for triple in itertools.combinations_with_replacement(range(2, 8), 3):
+            expected = radio_number_formula(*triple)
+            assert expected.sizes == triple
+            for ones in range(3):
+                for sizes in set(itertools.permutations(triple + (1,) * ones)):
+                    assert radio_number_formula(*sizes) == expected, sizes
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(3, 3), (2, 3), (1, 2, 3), (3, 1, 1, 3), (2, 2, 2, 2), (2, 1, 3, 3, 3),
+         (3, 3, 3, 3, 3), (2, 2, 2, 2, 2, 2), (5,), (1, 1)],
+    )
+    def test_rejects_other_diameters(self, sizes):
+        with pytest.raises(FormulaDomainError):
+            radio_number_formula(*sizes)
+
+    @pytest.mark.parametrize("sizes", [(0, 2, 3), (2, -1, 3), (2, True, 3), ()])
+    def test_rejects_sizes_that_are_no_graph(self, sizes):
+        with pytest.raises(GraphError):
+            radio_number_formula(*sizes)
 
 
 @pytest.mark.parametrize(
@@ -89,10 +114,10 @@ def test_constructive_ordering_meets_the_formula(sizes, rn):
         # no closed form, but still an ordering: the diagonal orbits, whose
         # tight labeling meets rn(K_3 x K_3) = 9, rn(K_2^4) = 30 and rn(K_3) = 3
         with pytest.raises(FormulaDomainError):
-            formula_sizes(sizes)
+            radio_number_formula(*sizes)
         assert span_of_ordering(g, order)[1] == {(3, 3): 9, (2, 2, 2, 2): 30, (1, 3): 3}[sizes]
         return
-    assert radio_number_formula(*formula_sizes(sizes)).value == rn
+    assert radio_number_formula(*sizes).value == rn
     assert span_of_ordering(g, order)[1] == rn
 
 
