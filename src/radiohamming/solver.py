@@ -12,13 +12,13 @@ least greedy climb f(x_w) - f(x_1) over w distinct vertices, and any s
 vertices consecutive in label order climb at least C(s).  The run search
 gives m[w] = w - 1 for w <= r and m[r + 1] >= r + 1, so 1 + C(N) is at least
 the jump bound N + ceil(N / r) - 1; search_orderings fills w = r + 1, r + 2,
-... exactly.  The first incumbent labels build_ordering; one of
-span 1 + C(N) is optimal with no search nodes, and one of span N needs no
-run search.  Below the root, the branch and bound is the same search at
-w = N: a vertex at depth d is kept only when its label is below
-bound - C(N - d), and children are tried best label first, so 2x2x2x3
-meets its root bound 35 in 253 nodes and 2x2x2x2x2 its 62 in 433.
-Every search of size vertices stops at a leaf
+... exactly.  The first incumbent labels build_ordering, and its span is
+reported as construction_span; one of span 1 + C(N) is optimal with no
+search nodes, and one of span N needs no run search.  Below the root, the
+branch and bound is the same search at w = N: a vertex at depth d is kept
+only when its label is below bound - C(N - d), and children are tried best
+label first, so 2x2x2x3 meets its root bound 35 in 253 nodes and 2x2x2x2x2
+its 62 in 433.  Every search of size vertices stops at a leaf
 labeled 1 + C(size), which no ordering undercuts, so the branch and bound
 ends as soon as its incumbent meets the root bound.  It is not started once
 the deadline has passed, and a result that is not optimal carries 1 + C(N)
@@ -62,6 +62,7 @@ class SolveResult:
     lower_bound: int  # proven: lower_bound <= rn(g), equal to rn when optimal
     nodes_explored: int
     elapsed: float
+    construction_span: int  # of the first incumbent, build_ordering's: rn <= it
 
 
 class _ClimbTable:
@@ -145,7 +146,8 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
     started = time.perf_counter()
     n = g.vertex_count
     deadline = started + cfg.time_budget
-    best_lab, bound = span_of_ordering(g, build_ordering(*g.factor_sizes))
+    best_lab, construction_span = span_of_ordering(g, build_ordering(*g.factor_sizes))
+    bound = construction_span
 
     # Root certificate: rn >= 1 + C(N) >= N
     table = _climb_table(g, bound, deadline)
@@ -168,4 +170,5 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
         lower_bound=bound if optimal else lower_bound,
         nodes_explored=nodes,
         elapsed=time.perf_counter() - started,
+        construction_span=construction_span,
     )

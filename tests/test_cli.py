@@ -1,8 +1,10 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -48,7 +50,23 @@ def budget_exhausted(monkeypatch):
     witness, _ = span_of_ordering(HammingGraph((2, 2, 5)), ordering_22n(5))
     fake = SolveResult(
         rn=29, witness=witness, optimal=False, lower_bound=28,
-        nodes_explored=1, elapsed=0.0,
+        nodes_explored=1, elapsed=0.0, construction_span=29,
+    )
+    monkeypatch.setattr(cli_mod, "solve", lambda g, cfg: fake)
+
+
+@pytest.fixture
+def solver_disagrees(monkeypatch):
+    """The CLI's solve replaced by one that proves 2x2x5's rn is 30, one
+    above its closed form and its labeling's span 29; its construction_span
+    is 30 too, since rn never exceeds it."""
+    import radiohamming.cli as cli_mod
+    from radiohamming import SolveResult
+
+    witness, _ = span_of_ordering(HammingGraph((2, 2, 5)), ordering_22n(5))
+    fake = SolveResult(
+        rn=30, witness=witness, optimal=True, lower_bound=30,
+        nodes_explored=1, elapsed=0.0, construction_span=30,
     )
     monkeypatch.setattr(cli_mod, "solve", lambda g, cfg: fake)
 
@@ -207,9 +225,20 @@ class TestVerify:
         code, _, err = run_cli(["verify", "2x3x3", str(path)], capsys)
         assert code == 2
 
-    def test_missing_file_is_usage_error(self, tmp_path, capsys):
-        code, _, err = run_cli(["verify", "2x3x3", str(tmp_path / "nope.csv")], capsys)
+    @staticmethod
+    def assert_one_error_line(path, number, code, out, err):
+        # main's one OSError handler: exit 2 and the path named once
         assert code == 2
+        assert out == ""
+        assert err == f"error: [Errno {number}] {os.strerror(number)}: {str(path)!r}\n"
+
+    def test_missing_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "nope.csv"
+        self.assert_one_error_line(path, errno.ENOENT, *run_cli(["verify", "2x3x3", str(path)], capsys))
+
+    def test_directory_is_usage_error(self, tmp_path, capsys):
+        self.assert_one_error_line(
+            tmp_path, errno.EISDIR, *run_cli(["verify", "2x3x3", str(tmp_path)], capsys))
 
     def test_undecodable_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "binary.csv"
@@ -304,16 +333,7 @@ class TestRn:
         assert code == 3
         assert payload["certified"] is None
 
-    def test_certify_mismatch_exits_1(self, capsys, monkeypatch):
-        import radiohamming.cli as cli_mod
-        from radiohamming import SolveResult
-
-        witness, _ = span_of_ordering(HammingGraph((2, 2, 5)), ordering_22n(5))
-        fake = SolveResult(
-            rn=30, witness=witness, optimal=True, lower_bound=30,
-            nodes_explored=1, elapsed=0.0,
-        )
-        monkeypatch.setattr(cli_mod, "solve", lambda g, cfg: fake)
+    def test_certify_mismatch_exits_1(self, capsys, solver_disagrees):
         code, out, _ = run_cli(["rn", "2x2x5", "--certify"], capsys)
         payload = json.loads(out)
         assert code == 1
@@ -466,6 +486,12 @@ class TestLabel:
         assert out.startswith("vertex,label\n")
         assert err == "certification incomplete: solver budget exhausted at rn <= 29\n"
 
+    def test_certify_mismatch_exits_1(self, capsys, solver_disagrees):
+        code, out, err = run_cli(["label", "2x2x5", "--certify"], capsys)
+        assert code == 1
+        assert out.startswith("vertex,label\n")
+        assert err == "certification FAILED: labeling span 29 but exact radio number is 30\n"
+
     def test_label_out_of_domain(self, capsys):
         code, _, err = run_cli(["label", "5x5"], capsys)
         assert code == 2
@@ -497,12 +523,78 @@ class TestSweep:
     def test_sweep_budget_exhaustion_exits_3(self, capsys, budget_exhausted):
         code, out, err = run_cli(["sweep", "2"], capsys)
         assert code == 3
-        assert out.splitlines()[1] == "2,2,2,8,11,two_two_n,False,11,29"
+        # the construction span is the fake solve's, 29, not 2x2x2's 11
+        assert out.splitlines()[1] == "2,2,2,8,11,two_two_n,False,29,29"
         assert err == "warning: solver budget exhausted on some instances\n"
+
+    @pytest.mark.parametrize(
+        "rn,construction_span,row,mismatch",
+        [(11, 8, "2,2,2,8,11,two_two_n,True,8,11", "graceful=True but case=two_two_n"),
+         (12, 12, "2,2,2,8,11,two_two_n,False,12,12", "solver rn 12 != formula 11")],
+        ids=["graceful", "solver_rn"],
+    )
+    def test_sweep_mismatch_exits_1(self, rn, construction_span, row, mismatch,
+                                    capsys, monkeypatch):
+        import radiohamming.cli as cli_mod
+        from radiohamming import SolveResult
+
+        witness, _ = span_of_ordering(HammingGraph((2, 2, 2)), build_ordering(2, 2, 2))
+        fake = SolveResult(
+            rn=rn, witness=witness, optimal=True, lower_bound=rn,
+            nodes_explored=0, elapsed=0.0, construction_span=construction_span,
+        )
+        monkeypatch.setattr(cli_mod, "solve", lambda g, cfg: fake)
+        code, out, err = run_cli(["sweep", "2"], capsys)
+        assert code == 1
+        assert out.splitlines()[1] == row
+        assert err == f"MISMATCH: 2x2x2: {mismatch}\n"
+
+    @pytest.mark.parametrize("lmax,rows", [("4", 10), ("10", 165)])
+    def test_sweep_builds_each_ordering_once(self, lmax, rows, capsys, monkeypatch):
+        import radiohamming.ordering as ordering_mod
+
+        calls = 0
+        build_blocks = ordering_mod.build_blocks
+
+        def counting_blocks(*sizes):
+            nonlocal calls
+            calls += 1
+            return build_blocks(*sizes)
+
+        monkeypatch.setattr(ordering_mod, "build_blocks", counting_blocks)
+        code, out, _ = run_cli(["sweep", lmax], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == rows + 1
+        assert calls == rows
+
+    def test_sweep_box_with_mmax_and_nmax(self, capsys):
+        code, out, err = run_cli(["sweep", "3", "4", "6"], capsys)
+        assert code == 0
+        assert err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        triples = [(int(r["l"]), int(r["m"]), int(r["n"])) for r in rows]
+        assert triples == [
+            (l, m, n) for l in range(2, 4) for m in range(l, 5) for n in range(m, 7)
+        ]
+        assert len(triples) == 19
+        assert all(r["solver_rn"] == r["rn_formula"] for r in rows)
 
     def test_sweep_bad_bounds(self, capsys):
         code, _, err = run_cli(["sweep", "1"], capsys)
         assert code == 2
+
+
+def test_invalid_witness_is_internal_error(capsys, monkeypatch):
+    import radiohamming.solver as solver_mod
+    from radiohamming import ValidationReport
+
+    monkeypatch.setattr(
+        solver_mod, "validate", lambda g, labeling: ValidationReport(False, 20, [])
+    )
+    code, out, err = run_cli(["rn", "2x3x3", "--certify"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: internal error: witness invalid for 2x3x3\n"
 
 
 def test_budget_defaults_come_from_solver_config():

@@ -79,6 +79,12 @@ def test_validate_rejects_partial_and_nonpositive():
         validate(HammingGraph((2,)), {(1,): True, (2,): 3})
 
 
+def test_validate_rejects_a_labeling_that_is_not_a_dict():
+    g = HammingGraph((2, 2))
+    with pytest.raises(LabelingError, match=r"^labeling must map vertices to labels$"):
+        validate(g, [((1, 1), 1), ((1, 2), 2), ((2, 1), 3), ((2, 2), 4)])
+
+
 def test_validate_duplicate_labels_are_violations_not_errors():
     g = HammingGraph((2, 2))
     report = validate(g, {(1, 1): 1, (2, 2): 1, (2, 1): 4, (1, 2): 7})

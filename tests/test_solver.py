@@ -13,9 +13,11 @@ import radiohamming.solver as solver_mod
 from radiohamming import (
     HammingGraph,
     SolverConfig,
+    build_ordering,
     max_consecutive_run,
     radio_number_formula,
     solve,
+    span_of_ordering,
     validate,
 )
 
@@ -314,6 +316,30 @@ class TestRootCertificate:
         report = validate(g, result.witness)
         assert report.valid
         assert report.span == result.rn
+
+
+class TestConstructionSpan:
+    @pytest.mark.parametrize(
+        "sizes,span,rn,nodes",
+        [((2, 2, 2, 3), 43, 35, 253), ((2, 2, 7), 41, 41, 0), ((3, 3, 3), 27, 27, 0),
+         ((3, 1, 2, 2), 17, 17, 0)],
+    )
+    def test_is_the_span_of_build_ordering(self, sizes, span, rn, nodes):
+        # the branch and bound lowers rn below the first incumbent, never the
+        # reported construction span
+        g = HammingGraph(sizes)
+        result = solve(g)
+        assert result.construction_span == span_of_ordering(g, build_ordering(*sizes))[1] == span
+        assert result.optimal
+        assert result.rn == rn
+        assert result.nodes_explored == nodes
+
+    def test_spent_time_budget_reports_it_as_rn(self):
+        g = HammingGraph((2, 2, 2, 3))
+        result = solve(g, SolverConfig(time_budget=1e-6))
+        assert result.construction_span == span_of_ordering(g, build_ordering(2, 2, 2, 3))[1]
+        assert result.construction_span == result.rn == 43
+        assert not result.optimal
 
 
 @pytest.fixture
