@@ -5,8 +5,6 @@ from .exceptional import (
     RnFormulaResult,
     RunSearchBudgetError,
     max_consecutive_run,
-    ordering_22n,
-    ordering_233,
     radio_number_formula,
 )
 from .graphs import (
@@ -63,8 +61,6 @@ __all__ = [
     "check_graceful",
     "format_vertex",
     "max_consecutive_run",
-    "ordering_22n",
-    "ordering_233",
     "parse_graph",
     "parse_vertex",
     "radio_number_formula",

@@ -38,11 +38,12 @@ EXIT_BUDGET = 3
 def _sorted_graph(spec: str) -> tuple[HammingGraph, list[int] | None]:
     """The graph of a "2x3x3"-style spec with its factors sorted ascending,
     and the index in spec of each sorted factor, or None if spec lists them
-    in ascending order already."""
+    in ascending order already; a note on stderr names a sorted spec."""
     sizes = parse_graph(spec).factor_sizes
     g = HammingGraph(tuple(sorted(sizes)))
     if g.factor_sizes == sizes:
         return g, None
+    print(f"note: factors sorted to {g} (isomorphic to {spec})", file=sys.stderr)
     return g, sorted(range(len(sizes)), key=sizes.__getitem__)
 
 
@@ -102,8 +103,6 @@ def _print_json(payload: dict, out) -> None:
 
 def cmd_order(args) -> int:
     g, permutation = _sorted_graph(args.spec)
-    if permutation:
-        print(f"note: factors sorted to {g} (isomorphic to {args.spec})", file=sys.stderr)
     blocks = build_blocks(*g.factor_sizes)
     ordering = [v for block in blocks for v in block]
     graceful = check_graceful(g, ordering).graceful
@@ -184,9 +183,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_label(args) -> int:
-    g, permutation = _sorted_graph(args.spec)
-    if permutation:
-        print(f"note: factors sorted to {g} (isomorphic to {args.spec})", file=sys.stderr)
+    g, _ = _sorted_graph(args.spec)
     radio_number_formula(*g.factor_sizes)  # no closed form, no optimal labeling: exit 2
     labeling, span = span_of_ordering(g, build_ordering(*g.factor_sizes))
     with _open_output(args.output) as out:

@@ -5,19 +5,19 @@ graceful, so its radio number is lmn, except for two families:
 
 * K_2 x K_2 x K_n has radio number 6n - 1.  No three vertices admit
   consecutive labels, so among 4n labels at least 2n - 1 gaps of size >= 2
-  are forced.
+  are forced; the block construction's tight labels skip every multiple of 3.
 * K_2 x K_3 x K_3 has radio number 20.  No seven vertices admit consecutive
   labels (a six-step chain of pairwise constraints forces the seventh vertex
-  to equal the first), so two label jumps are forced among 18 vertices.
+  to equal the first), so two label jumps are forced among 18 vertices; the
+  block construction's three blocks take the labels 1..6, 8..13 and 15..20.
 
-For both families the block construction's tight labeling
-(span_of_ordering) is optimal (ordering_22n, ordering_233).  This module
-is the one place that maps factor sizes to their family
-(radio_number_formula); ordering.build_ordering maps any sizes to their
-ordering.  Its search_orderings, the one depth-first search over vertex
-orderings with greedy labels, finds the longest run of consecutive labels,
-fills the solver's climb table and runs its branch and bound, where a run
-length becomes a lower bound.
+For both families the tight labeling (span_of_ordering) of the block
+construction, ordering.build_ordering, is optimal.  This module is the one
+place that maps factor sizes to their family (radio_number_formula).  Its
+search_orderings, the one depth-first search over vertex orderings with
+greedy labels, finds the longest run of consecutive labels, fills the
+solver's climb table and runs its branch and bound, where a run length
+becomes a lower bound.
 """
 
 from __future__ import annotations
@@ -72,13 +72,13 @@ def radio_number_formula(*sizes: int) -> RnFormulaResult:
     family with n = 1.  Raises GraphError for sizes that are no graph and
     FormulaDomainError unless the graph is diameter-3 or 2x2.
     """
-    HammingGraph(sizes)
+    g = HammingGraph(sizes)
     nontrivial = sorted(s for s in sizes if s >= 2)
     if nontrivial == [2, 2]:
         nontrivial.append(1)
     if len(nontrivial) != 3:
         raise FormulaDomainError(
-            f"{'x'.join(map(str, sizes))} is not a diameter-3 Hamming graph "
+            f"{g} is not a diameter-3 Hamming graph "
             "(need three factors >= 2, or the degenerate 2x2)"
         )
     n1, n2, n3 = nontrivial
@@ -92,22 +92,17 @@ def radio_number_formula(*sizes: int) -> RnFormulaResult:
 
 
 def ordering_233() -> list[Vertex]:
-    """Ordering of K_2 x K_3 x K_3 whose tight labeling (span_of_ordering)
-    has span 20: the block construction.  Its three blocks of six rows take
-    the labels 1..6, 8..13 and 15..20, each a run as long as this graph
-    admits, with a forced jump between blocks."""
+    """build_ordering(2, 3, 3), kept only because bench/workloads._pipeline calls it."""
     return build_ordering(2, 3, 3)
 
 
 def ordering_22n(n: int) -> list[Vertex]:
-    """Ordering of K_2 x K_2 x K_n whose tight labeling (span_of_ordering)
-    has span 6n-1: the block construction, of K_2 x K_2 with two-coordinate
-    vertices for n = 1.  Its tight labeling gives position i the i-th
-    positive integer not divisible by 3 (1, 2, 4, 5, 7, 8, ...).  Raises
-    GraphError above graphs.MAX_MATERIALIZED_VERTICES vertices."""
-    if n < 1:
-        raise FormulaDomainError(f"need n >= 1, got {n}")
-    return build_ordering(2, 2, n) if n > 1 else build_ordering(2, 2)
+    """build_ordering(2, 2, n), kept only because bench/workloads._pipeline
+    calls it and bench/run.py traces exceptional.ordering_22n."""
+    return build_ordering(2, 2, n)
+
+
+SEARCH_COMPLETE = ("exhausted", "stopped")  # search_orderings ran to its end
 
 
 def search_orderings(
@@ -138,7 +133,8 @@ def search_orderings(
     Each unused candidate that passes the symmetry filter is a node.
     The search stops after node_budget nodes or past deadline (perf_counter
     time) and returns (nodes, most vertices placed, reason), the reason
-    being "exhausted", "node_budget", "time_budget" or "stopped".
+    being "exhausted", "node_budget", "time_budget" or "stopped"; the
+    reasons in SEARCH_COMPLETE mean that it was not cut short.
     """
     verts = g.vertices()
     n = len(verts)
@@ -215,7 +211,7 @@ def search_orderings(
 
 
 def max_consecutive_run(
-    g: HammingGraph, cap: int = 1_000_000, *, deadline: float | None = None
+    g: HammingGraph, cap: int = 1_000_000, *, deadline: float = math.inf
 ) -> int:
     """Longest sequence of distinct vertices that could carry consecutive
     labels in some radio labeling of g.
@@ -235,8 +231,8 @@ def max_consecutive_run(
         [d + 2 for d in range(g.vertex_count)],
         lambda order, labels: True,
         node_budget=cap,
-        deadline=math.inf if deadline is None else deadline,
+        deadline=deadline,
     )
-    if stop in ("exhausted", "stopped"):
+    if stop in SEARCH_COMPLETE:
         return deepest
     raise RunSearchBudgetError(deepest, cap, timed_out=stop == "time_budget")

@@ -17,6 +17,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from typing import Collection, Iterable
 
 Vertex = tuple[int, ...]
 
@@ -30,15 +31,20 @@ class GraphError(ValueError):
     """Invalid graph description, or a vertex outside the graph."""
 
 
-def _is_int(x) -> bool:
+def _int_type(t: type) -> bool:
     # bool is an int subclass, but True is no factor size, coordinate or label
-    return isinstance(x, int) and not isinstance(x, bool)
+    return issubclass(t, int) and not issubclass(t, bool)
 
 
-def check_materializable(count: int, graph) -> None:
-    """Raise GraphError if count vertices of graph are too many to list."""
-    if count > MAX_MATERIALIZED_VERTICES:
-        raise GraphError(f"refusing to materialize {count} vertices of {graph}")
+def are_ints(values: Iterable) -> bool:
+    """True iff every value is an int and none is a bool; one test per type."""
+    return all(map(_int_type, set(map(type, values))))
+
+
+def check_materializable(graph: HammingGraph) -> None:
+    """Raise GraphError if graph has too many vertices to list."""
+    if graph.vertex_count > MAX_MATERIALIZED_VERTICES:
+        raise GraphError(f"refusing to materialize {graph.vertex_count} vertices of {graph}")
 
 
 def hamming(a: Vertex, b: Vertex) -> int:
@@ -59,7 +65,7 @@ class HammingGraph:
         object.__setattr__(self, "factor_sizes", sizes)
         if not sizes:
             raise GraphError("a Hamming graph needs at least one factor")
-        if any(not _is_int(s) or s < 1 for s in sizes):
+        if not are_ints(sizes) or min(sizes) < 1:
             raise GraphError(f"factor sizes must be integers >= 1, got {sizes!r}")
 
     def __str__(self) -> str:
@@ -82,14 +88,28 @@ class HammingGraph:
                 f"(expected {len(self.factor_sizes)} coordinates)"
             )
         for coord, size in zip(v, self.factor_sizes):
-            if not _is_int(coord) or not 1 <= coord <= size:
-                raise GraphError(
-                    f"coordinate {coord!r} of vertex {v!r} outside 1..{size}"
-                )
+            if not _int_type(type(coord)) or not 1 <= coord <= size:
+                raise GraphError(f"coordinate {coord!r} of vertex {v!r} outside 1..{size}")
+
+    def are_vertices(self, items: Collection[Vertex]) -> bool:
+        """True iff every item is a vertex of this graph: check_vertex's test,
+        column by column."""
+        sizes = self.factor_sizes
+        if not (
+            all(map(isinstance, items, itertools.repeat(tuple)))
+            and set(map(len, items)) <= {len(sizes)}
+            and are_ints(itertools.chain.from_iterable(items))
+        ):
+            return False
+        for c, size in enumerate(sizes):
+            values = set(map(operator.itemgetter(c), items))
+            if min(values, default=1) < 1 or max(values, default=1) > size:
+                return False
+        return True
 
     def vertices(self) -> list[Vertex]:
         """All vertices in lexicographic order."""
-        check_materializable(self.vertex_count, self)
+        check_materializable(self)
         return list(itertools.product(*(range(1, s + 1) for s in self.factor_sizes)))
 
 

@@ -12,9 +12,9 @@ Only pairs whose labels differ by less than diam(G) can violate the radio
 condition, so validation scans the label-sorted vertices for pairs one, two,
 ... places apart and stops at the first distance with no gap below diam(G);
 with distinct labels that is O(N * diam) after the sort.  The per-vertex
-and per-pair work runs in C-level streams (map, zip, itemgetter, islice)
-column by column: a bulk vertex check, and one window scan that adds the
-label gap to per-column coordinate mismatches and yields the pairs it flags.
+and per-pair work runs in C-level streams (map, zip, itemgetter, islice),
+column by column: HammingGraph.are_vertices, and one window scan that adds
+the label gap to per-column coordinate mismatches to flag pairs.
 
 check_graceful is the one yes/no graceful test: the window scan on the
 consecutive labels, stopped at the first flagged pair.  span_of_ordering
@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
+from itertools import compress, count, islice, repeat
 from operator import add, itemgetter, le, lt, ne, sub
-from typing import Callable, Collection, Iterable, Iterator, Sequence, TextIO, Union
+from typing import Callable, Iterator, Sequence, TextIO, Union
 
-from .graphs import GraphError, HammingGraph, Vertex, format_vertex, hamming, parse_vertex
+from .graphs import GraphError, HammingGraph, Vertex, are_ints, format_vertex, hamming, parse_vertex
 
 RadioLabeling = dict[Vertex, int]
 Ordering = Sequence[Vertex]
@@ -90,11 +90,11 @@ def validate(g: HammingGraph, labeling: RadioLabeling) -> ValidationReport:
     if not isinstance(labeling, dict):
         raise LabelingError("labeling must map vertices to labels")
     labels = labeling.values()
-    if not (_are_vertices(g, labeling) and _are_ints(labels) and min(labels, default=1) >= 1):
+    if not (g.are_vertices(labeling) and are_ints(labels) and min(labels, default=1) >= 1):
         # find the first bad item, in dict order, to name it in the error
         for v, label in labeling.items():
             g.check_vertex(v)
-            if isinstance(label, bool) or not isinstance(label, int) or label < 1:
+            if not are_ints((label,)) or label < 1:
                 raise LabelingError(f"label {label!r} for vertex {v} is not a positive integer")
     if len(labeling) != g.vertex_count:
         raise LabelingError(
@@ -110,28 +110,6 @@ def validate(g: HammingGraph, labeling: RadioLabeling) -> ValidationReport:
         u, v = vertices[i], vertices[j]
         violations.append(Violation(u, v, diam + 1 - hamming(u, v), labels[j] - labels[i]))
     return ValidationReport(valid=not violations, span=labels[-1], violations=violations)
-
-
-def _are_ints(values: Iterable) -> bool:
-    """True iff every value is an int and none is a bool (as graphs._is_int)."""
-    return all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, values)))
-
-
-def _are_vertices(g: HammingGraph, items: Collection[Vertex]) -> bool:
-    """True iff every item is a vertex of g: g.check_vertex's test, column
-    by column."""
-    sizes = g.factor_sizes
-    if not (
-        all(map(isinstance, items, repeat(tuple)))
-        and set(map(len, items)) <= {len(sizes)}
-        and _are_ints(chain.from_iterable(items))
-    ):
-        return False
-    for c, size in enumerate(sizes):
-        values = set(map(itemgetter(c), items))
-        if min(values, default=1) < 1 or max(values, default=1) > size:
-            return False
-    return True
 
 
 def _window_violations(
@@ -162,7 +140,7 @@ def verify_bijection(g: HammingGraph, ordering: Ordering) -> bool:
     """True iff ordering lists every vertex of g exactly once."""
     return (
         len(ordering) == g.vertex_count
-        and _are_vertices(g, ordering)
+        and g.are_vertices(ordering)
         and len(set(ordering)) == len(ordering)
     )
 

@@ -26,7 +26,7 @@ def build_blocks(*sizes: int) -> list[list[Vertex]]:
     the caller's coordinates.  Raises GraphError for sizes that are no graph
     and above graphs.MAX_MATERIALIZED_VERTICES vertices."""
     g = HammingGraph(sizes)
-    check_materializable(g.vertex_count, g)
+    check_materializable(g)
     rows = math.lcm(*sizes)
     columns = [[r % n + 1 for r in range(rows)] for n in sizes]
     by_size = sorted(range(len(sizes)), key=sizes.__getitem__)

@@ -30,7 +30,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .exceptional import RunSearchBudgetError, max_consecutive_run, search_orderings
+from .exceptional import (
+    SEARCH_COMPLETE,
+    RunSearchBudgetError,
+    max_consecutive_run,
+    search_orderings,
+)
 from .graphs import HammingGraph
 from .labeling import RadioLabeling, span_of_ordering, validate
 from .ordering import build_ordering
@@ -104,11 +109,11 @@ def _least_last_label(g, table, size, best, **search):
     return best, found, nodes, stop
 
 
-def _climb_table(g: HammingGraph, bound: float, deadline: float, largest: int | None = None):
+def _climb_table(g: HammingGraph, bound: float, deadline: float):
     """Climb table of g under an incumbent of span bound: r from the run search
-    (N if it runs out), then m[w] for w = r + 1 up to largest (default N), until
-    1 + C(N) meets bound, an entry runs out of time or nodes (it is dropped)
-    or, unless largest is given, an entry past r + 1 leaves C(N) unchanged."""
+    (N if it runs out), then m[w] for w = r + 1, r + 2, ..., until 1 + C(N)
+    meets bound, an entry runs out of time or nodes (it is dropped) or an
+    entry past r + 1 leaves C(N) unchanged."""
     n = g.vertex_count
     run = n
     if bound > n:
@@ -117,7 +122,7 @@ def _climb_table(g: HammingGraph, bound: float, deadline: float, largest: int | 
         except RunSearchBudgetError:
             pass  # weakest sound choice: no forced jumps assumed
     table = _ClimbTable(n, run)
-    for w in range(run + 1, (largest or n) + 1):
+    for w in range(run + 1, n + 1):
         lower = table.climb(n)
         if 1 + lower >= bound:
             break
@@ -125,10 +130,10 @@ def _climb_table(g: HammingGraph, bound: float, deadline: float, largest: int | 
         best, _, _, stop = _least_last_label(
             g, table, w, table.least(w - 1) + g.diameter + 2,
             node_budget=_RUN_SEARCH_CAP, deadline=deadline)
-        if stop not in ("exhausted", "stopped"):
+        if stop not in SEARCH_COMPLETE:
             break
         table.past_run[w - run - 1 :] = [best - 1]
-        if largest is None and w > run + 1 and table.climb(n) == lower:
+        if w > run + 1 and table.climb(n) == lower:
             break
     return table
 
@@ -162,7 +167,7 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
     report = validate(g, best_lab)
     if not report.valid or report.span != bound:
         raise SolverError(f"internal error: witness invalid for {g}")
-    optimal = stop in ("exhausted", "stopped")
+    optimal = stop in SEARCH_COMPLETE
     return SolveResult(
         rn=bound,
         witness=best_lab,

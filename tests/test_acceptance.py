@@ -16,8 +16,6 @@ from radiohamming import (
     build_ordering,
     check_graceful,
     max_consecutive_run,
-    ordering_22n,
-    ordering_233,
     radio_number_formula,
     solve,
     span_of_ordering,
@@ -146,11 +144,11 @@ def test_criterion_5_constructive_labelings(capsys):
         capsys, 5, "explicit labelings: 2x3x3 span 20; 2x2xn span 6n-1 for n in 1..50", 5.0
     ):
         g = HammingGraph((2, 3, 3))
-        report = validate(g, span_of_ordering(g, ordering_233())[0])
+        report = validate(g, span_of_ordering(g, build_ordering(2, 3, 3))[0])
         assert report.valid and report.span == 20
         for n in range(1, 51):
             g = HammingGraph((2, 2) if n == 1 else (2, 2, n))
-            rep = validate(g, span_of_ordering(g, ordering_22n(n))[0])
+            rep = validate(g, span_of_ordering(g, build_ordering(*g.factor_sizes))[0])
             assert rep.valid and rep.span == 6 * n - 1, n
 
 
@@ -200,7 +198,7 @@ def test_criterion_8_repaired_base_orderings(capsys):
         "and the stated endings",
     ):
         g2 = HammingGraph((2, 2, 2))
-        order2 = ordering_22n(2)
+        order2 = build_ordering(2, 2, 2)
         labeling2, span2 = span_of_ordering(g2, order2)
         assert validate(g2, labeling2).valid
         assert [labeling2[v] for v in order2] == [1, 2, 4, 5, 7, 8, 10, 11]
@@ -208,7 +206,7 @@ def test_criterion_8_repaired_base_orderings(capsys):
         assert order2[-2:] == [(1, 2, 1), (2, 1, 2)]
 
         g3 = HammingGraph((2, 2, 3))
-        order3 = ordering_22n(3)
+        order3 = build_ordering(2, 2, 3)
         labeling3, span3 = span_of_ordering(g3, order3)
         assert validate(g3, labeling3).valid
         assert [labeling3[v] for v in order3] == [

@@ -19,7 +19,6 @@ from radiohamming import (
     SolverConfig,
     build_blocks,
     build_ordering,
-    ordering_22n,
     parse_vertex,
     read_labeling_csv,
     span_of_ordering,
@@ -47,7 +46,7 @@ def budget_exhausted(monkeypatch):
     import radiohamming.cli as cli_mod
     from radiohamming import SolveResult
 
-    witness, _ = span_of_ordering(HammingGraph((2, 2, 5)), ordering_22n(5))
+    witness, _ = span_of_ordering(HammingGraph((2, 2, 5)), build_ordering(2, 2, 5))
     fake = SolveResult(
         rn=29, witness=witness, optimal=False, lower_bound=28,
         nodes_explored=1, elapsed=0.0, construction_span=29,
@@ -63,7 +62,7 @@ def solver_disagrees(monkeypatch):
     import radiohamming.cli as cli_mod
     from radiohamming import SolveResult
 
-    witness, _ = span_of_ordering(HammingGraph((2, 2, 5)), ordering_22n(5))
+    witness, _ = span_of_ordering(HammingGraph((2, 2, 5)), build_ordering(2, 2, 5))
     fake = SolveResult(
         rn=30, witness=witness, optimal=True, lower_bound=30,
         nodes_explored=1, elapsed=0.0, construction_span=30,

@@ -5,15 +5,16 @@ import tracemalloc
 
 import pytest
 
+import radiohamming
+import radiohamming.exceptional as exceptional_mod
 from radiohamming import (
     FormulaDomainError,
     GraphError,
     HammingGraph,
     RunSearchBudgetError,
+    build_blocks,
     build_ordering,
     max_consecutive_run,
-    ordering_22n,
-    ordering_233,
     radio_number_formula,
     span_of_ordering,
     validate,
@@ -30,13 +31,14 @@ def graph_22n(n):
 
 
 def tight_22n(n):
-    """The tight labeling of ordering_22n(n)."""
-    return span_of_ordering(graph_22n(n), ordering_22n(n))[0]
+    """The tight labeling of the block construction of graph_22n(n)."""
+    g = graph_22n(n)
+    return span_of_ordering(g, build_ordering(*g.factor_sizes))[0]
 
 
 def tight_233():
-    """The tight labeling of ordering_233()."""
-    return span_of_ordering(HammingGraph((2, 3, 3)), ordering_233())[0]
+    """The tight labeling of build_ordering(2, 3, 3)."""
+    return span_of_ordering(HammingGraph((2, 3, 3)), build_ordering(2, 3, 3))[0]
 
 
 def tight_labels(count):
@@ -147,11 +149,17 @@ class TestLabeling233:
         assert report.span == 20
 
     def test_ordering_233_is_the_block_construction(self):
-        assert ordering_233() == build_ordering(2, 3, 3)
+        # each block of six rows is a run of labels, with a jump between blocks
+        lab = tight_233()
+        blocks = build_blocks(2, 3, 3)
+        assert build_ordering(2, 3, 3) == [v for block in blocks for v in block]
+        assert [[lab[v] for v in block] for block in blocks] == [
+            list(range(1, 7)), list(range(8, 14)), list(range(15, 21)),
+        ]
 
     def test_ordering_233_is_label_order(self):
         lab = tight_233()
-        order = ordering_233()
+        order = build_ordering(2, 3, 3)
         assert [lab[v] for v in order] == sorted(lab.values())
 
 
@@ -164,7 +172,7 @@ class TestLabeling22n:
         assert report.span == 5
 
     def test_n2_order_and_labels(self):
-        order = ordering_22n(2)
+        order = build_ordering(2, 2, 2)
         assert order == [
             (1, 1, 1), (2, 2, 2), (1, 1, 2), (2, 2, 1),
             (1, 2, 2), (2, 1, 1), (1, 2, 1), (2, 1, 2),
@@ -174,14 +182,14 @@ class TestLabeling22n:
         assert validate(HammingGraph((2, 2, 2)), lab).span == 11
 
     def test_n3_labels_and_ending(self):
-        order = ordering_22n(3)
+        order = build_ordering(2, 2, 3)
         lab = tight_22n(3)
         assert [lab[v] for v in order] == [1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17]
         assert order[-1] == (2, 1, 3)
         assert validate(HammingGraph((2, 2, 3)), lab).valid
 
     def test_n4_order_and_labels(self):
-        order = ordering_22n(4)
+        order = build_ordering(2, 2, 4)
         assert order[:8] == [
             (1, 1, 1), (2, 2, 2), (1, 1, 3), (2, 2, 4),
             (1, 1, 2), (2, 2, 3), (1, 1, 4), (2, 2, 1),
@@ -204,12 +212,21 @@ class TestLabeling22n:
 
     @pytest.mark.parametrize("n", [2, 4, 6, 7, 9, 12, 25])
     def test_is_the_block_construction(self, n):
-        assert ordering_22n(n) == build_ordering(2, 2, n)
+        # orbits of v -> v + (1, 1, 1), each from its closed-form seed
+        sizes = (2, 2, n)
+        blocks = build_blocks(*sizes)
+        assert build_ordering(*sizes) == [v for block in blocks for v in block]
+        assert [block[0] for block in blocks] == [
+            oracles.block_seed(sizes, k) for k in range(1, len(blocks) + 1)
+        ]
+        for block in blocks:
+            for row, after in zip(block, block[1:]):
+                assert after == tuple(c % size + 1 for c, size in zip(row, sizes))
 
     @pytest.mark.parametrize("n", range(1, 51))
     def test_greedy_reproduces_the_tight_labels(self, n):
         g = graph_22n(n)
-        order = ordering_22n(n)
+        order = build_ordering(*g.factor_sizes)
         labeling, span = span_of_ordering(g, order)
         assert span == 6 * n - 1
         assert [labeling[v] for v in order] == tight_labels(4 * n)
@@ -217,15 +234,23 @@ class TestLabeling22n:
 
     @pytest.mark.parametrize("n", [97, 200, 1001])
     def test_walk_is_optimal_past_fifty(self, n):
-        order = ordering_22n(n)
-        assert order == build_ordering(2, 2, n)
+        order = build_ordering(2, 2, n)
         labeling, span = span_of_ordering(graph_22n(n), order)
         assert span == 6 * n - 1
         assert oracles.radio_valid((2, 2, n), labeling)
 
-    def test_rejects_n_below_one(self):
-        with pytest.raises(FormulaDomainError):
-            ordering_22n(0)
+
+def test_bench_shims_are_build_ordering():
+    # bench/workloads._pipeline still calls these at the benchmark's sizes
+    assert exceptional_mod.ordering_22n(10) == build_ordering(2, 2, 10)
+    assert exceptional_mod.ordering_22n(5000) == build_ordering(2, 2, 5000)
+    assert exceptional_mod.ordering_233() == build_ordering(2, 3, 3)
+
+
+def test_package_exports_one_ordering_constructor():
+    for name in ("ordering_22n", "ordering_233"):
+        assert not hasattr(radiohamming, name)
+        assert name not in radiohamming.__all__
 
 
 class TestMaxConsecutiveRun:

@@ -16,8 +16,6 @@ from radiohamming import (
     LabelingError,
     build_ordering,
     check_graceful,
-    ordering_22n,
-    ordering_233,
     read_labeling_csv,
     span_of_ordering,
     validate,
@@ -31,8 +29,8 @@ DATA = Path(__file__).parent / "data"
 
 
 def tight_233():
-    """The tight labeling of ordering_233(), span 20."""
-    return span_of_ordering(HammingGraph((2, 3, 3)), ordering_233())[0]
+    """The tight labeling of build_ordering(2, 3, 3), span 20."""
+    return span_of_ordering(HammingGraph((2, 3, 3)), build_ordering(2, 3, 3))[0]
 
 
 def test_validate_explicit_233_labeling():
@@ -118,7 +116,7 @@ def test_check_graceful_rejects_non_bijection():
 
 def test_table_order_without_gaps_is_not_graceful():
     g = HammingGraph((2, 3, 3))
-    report = check_graceful(g, ordering_233())
+    report = check_graceful(g, build_ordering(2, 3, 3))
     assert not report.graceful
 
 
@@ -130,7 +128,6 @@ def test_check_graceful_is_a_yes_no_test(monkeypatch, n):
     monkeypatch.setattr(labeling_mod, "Violation", no_violations)
     g = HammingGraph((2, 2, n))
     assert check_graceful(g, build_ordering(2, 2, n)) == GracefulReport(graceful=False)
-    assert check_graceful(g, ordering_22n(n)) == GracefulReport(graceful=False)
 
 
 def test_graceful_report_is_only_the_answer():
@@ -178,7 +175,7 @@ def test_graceful_equivalence_exhaustive_eight_vertices(sizes):
 
 def test_greedy_labels_of_233_order_match_printed_gaps():
     g = HammingGraph((2, 3, 3))
-    order = ordering_233()
+    order = build_ordering(2, 3, 3)
     labeling, span = span_of_ordering(g, order)
     assert span == 20
     assert [labeling[v] for v in order] == [
@@ -270,6 +267,14 @@ def _bad_item(ordering, pos, kind, sizes):
     return tuple(v)
 
 
+def _passes_check_vertex(g, v):
+    try:
+        g.check_vertex(v)
+    except GraphError:
+        return False
+    return True
+
+
 @settings(max_examples=300, deadline=None)
 @given(sizes=SIZES, data=st.data())
 def test_verify_bijection_matches_item_by_item_check(sizes, data):
@@ -280,6 +285,7 @@ def test_verify_bijection_matches_item_by_item_check(sizes, data):
     kind = data.draw(st.sampled_from(BAD_ITEMS))
     ordering[pos] = _bad_item(ordering, pos, kind, sizes)
     assert verify_bijection(g, ordering) == oracles.is_bijection(sizes, ordering)
+    assert g.are_vertices(ordering) == all(_passes_check_vertex(g, v) for v in ordering)
     if kind != "duplicate" or len(ordering) > 1:
         assert not verify_bijection(g, ordering)
 
@@ -332,7 +338,7 @@ def test_graceful_ordering_skips_the_greedy(monkeypatch):
 
 def test_ordering_with_violations_runs_the_greedy(monkeypatch):
     calls = _count_next_label(monkeypatch)
-    labeling, span = span_of_ordering(HammingGraph((2, 3, 3)), ordering_233())
+    labeling, span = span_of_ordering(HammingGraph((2, 3, 3)), build_ordering(2, 3, 3))
     assert calls
     assert span == 20
     assert labeling == read_labeling_csv(str(DATA / "labeling_2x3x3.csv"))

@@ -63,7 +63,15 @@ class TestClimbTable:
     def test_matches_brute_force(self, sizes):
         g = HammingGraph(sizes)
         top = min(g.vertex_count, 5)
-        table = solver_mod._climb_table(g, math.inf, math.inf, largest=top)
+        table = solver_mod._climb_table(g, math.inf, math.inf)
+        # where the table stops early (K_2^4 after m[4]), fill the next
+        # entries the way its loop does
+        for w in range(table.run + len(table.past_run) + 1, top + 1):
+            best, _, _, stop = solver_mod._least_last_label(
+                g, table, w, table.least(w - 1) + g.diameter + 2,
+                node_budget=solver_mod._RUN_SEARCH_CAP, deadline=math.inf)
+            assert stop in exceptional_mod.SEARCH_COMPLETE
+            table.past_run.append(best - 1)
         assert [table.least(w) for w in range(1, top + 1)] == oracles.least_climbs(sizes, top)
 
     def test_entry_out_of_nodes_is_dropped(self, monkeypatch):
