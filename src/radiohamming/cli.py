@@ -17,12 +17,12 @@ import sys
 from contextlib import contextmanager
 
 from .exceptional import FormulaDomainError, radio_number_formula
-from .graphs import GraphError, HammingGraph, format_vertex, parse_graph
+from .graphs import GraphError, HammingGraph, parse_graph, vertex_template
 from .labeling import (
     LabelingError,
-    check_graceful,
     read_labeling_csv,
     span_of_ordering,
+    stream_is_graceful,
     validate,
     write_labeling_csv,
 )
@@ -103,36 +103,38 @@ def _print_json(payload: dict, out) -> None:
 
 def cmd_order(args) -> int:
     g, permutation = _sorted_graph(args.spec)
-    blocks = build_blocks(*g.factor_sizes)
-    ordering = [v for block in blocks for v in block]
-    graceful = check_graceful(g, ordering).graceful
+    # two walks of the blocks, so that the warning precedes any output and
+    # no more than one block is held; JSON needs every row at once
+    graceful = stream_is_graceful(g, build_blocks(*g.factor_sizes))
     if not graceful:
         print(f"warning: this ordering of {g} is a bijection but not graceful", file=sys.stderr)
+    vertex_text = vertex_template(len(g.factor_sizes)).__mod__
     with _open_output(args.output) as out:
         if args.format == "json":
+            blocks = [list(map(vertex_text, block)) for block in build_blocks(*g.factor_sizes)]
             payload = {
                 "spec": args.spec,
                 "sorted_spec": str(g),
-                "vertex_count": len(ordering),
+                "vertex_count": g.vertex_count,
                 "graceful": graceful,
             }
             if permutation:
                 payload["factor_permutation"] = permutation
             if args.blocks:
-                payload["blocks"] = [[format_vertex(v) for v in block] for block in blocks]
+                payload["blocks"] = blocks
             else:
-                payload["ordering"] = [format_vertex(v) for v in ordering]
+                payload["ordering"] = [v for block in blocks for v in block]
             _print_json(payload, out)
         else:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(["position", "vertex"])
-            position = 0
-            for k, block in enumerate(blocks):
+            position = 1
+            for k, block in enumerate(build_blocks(*g.factor_sizes)):
                 if args.blocks and k:
                     out.write(f"# block {k + 1}\n")
-                for v in block:
-                    position += 1
-                    writer.writerow([position, format_vertex(v)])
+                positions = range(position, position + len(block))
+                writer.writerows(zip(positions, map(vertex_text, block)))
+                position += len(block)
     return EXIT_OK
 
 

@@ -139,3 +139,9 @@ def parse_vertex(text: str) -> Vertex:
 
 def format_vertex(v: Vertex) -> str:
     return "(" + ",".join(str(c) for c in v) + ")"
+
+
+def vertex_template(dimension: int) -> str:
+    """format_vertex as a %-template: template % v == format_vertex(v) for
+    every vertex v of the given dimension, and TypeError for any other."""
+    return "(" + ",".join(["%s"] * dimension) + ")"

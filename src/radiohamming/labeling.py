@@ -17,7 +17,9 @@ column by column: HammingGraph.are_vertices, and one window scan that adds
 the label gap to per-column coordinate mismatches to flag pairs.
 
 check_graceful is the one yes/no graceful test: the window scan on the
-consecutive labels, stopped at the first flagged pair.  span_of_ordering
+consecutive labels, stopped at the first flagged pair.  stream_is_graceful
+runs the same scan on an ordering given chunk by chunk, such as
+build_blocks's, with the last diam(G) - 1 rows carried over.  span_of_ordering
 starts from it and, on a graceful ordering, returns the labels 1..N without
 the greedy loop.  This is exact: by induction, the greedy gives position i
 the label i for every i iff the consecutive labeling is a radio labeling.
@@ -30,9 +32,10 @@ import csv
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from operator import add, itemgetter, le, lt, ne, sub
-from typing import Callable, Iterator, Sequence, TextIO, Union
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
 
-from .graphs import GraphError, HammingGraph, Vertex, are_ints, format_vertex, hamming, parse_vertex
+from .graphs import GraphError, HammingGraph, Vertex, are_ints, format_vertex, hamming
+from .graphs import parse_vertex, vertex_template
 
 RadioLabeling = dict[Vertex, int]
 Ordering = Sequence[Vertex]
@@ -155,8 +158,27 @@ def check_graceful(g: HammingGraph, ordering: Ordering) -> GracefulReport:
     """
     if not verify_bijection(g, ordering):
         raise LabelingError(f"ordering is not a bijection onto the vertices of {g}")
-    flagged = _window_violations(ordering, range(1, len(ordering) + 1), g.diameter)
-    return GracefulReport(graceful=next(flagged, None) is None)
+    return GracefulReport(graceful=stream_is_graceful(g, [ordering]))
+
+
+def stream_is_graceful(g: HammingGraph, chunks: Iterable[Ordering]) -> bool:
+    """Whether f(x_i) = i is a radio labeling of the ordering that the chunks
+    form when concatenated, read one chunk at a time.
+
+    Each chunk is scanned behind the last diam(G) - 1 rows before it, the
+    only ones its rows can violate the condition with, and the scan stops
+    at the first flagged pair.  Holds one chunk and diam(G) - 1 rows.  The
+    rows are taken to be distinct vertices of g: check that separately
+    (verify_bijection, or build_blocks's own walk).
+    """
+    diam = g.diameter
+    tail: Ordering = ()
+    for chunk in chunks:
+        window = [*tail, *chunk] if tail else chunk
+        if next(_window_violations(window, range(len(window)), diam), None) is not None:
+            return False
+        tail = window[max(len(window) - diam + 1, 0) :]
+    return True
 
 
 def next_label(labels: Sequence[int], dist_back: Callable[[int], int], diam: int) -> int:
@@ -249,12 +271,13 @@ def _read_labeling_rows(reader) -> RadioLabeling:
 
 
 def write_labeling_csv(target: Union[str, TextIO], labeling: RadioLabeling) -> None:
-    """Write a labeling as CSV rows sorted by label."""
+    """Write a labeling, its vertices of one dimension, as CSV rows sorted
+    by (label, vertex)."""
     if isinstance(target, str):
         with open(target, "w", newline="") as fh:
             write_labeling_csv(fh, labeling)
         return
     writer = csv.writer(target, lineterminator="\n")
     writer.writerow(["vertex", "label"])
-    for vertex, label in sorted(labeling.items(), key=lambda kv: (kv[1], kv[0])):
-        writer.writerow([format_vertex(vertex), label])
+    template = vertex_template(len(next(iter(labeling), ())))
+    writer.writerows((template % v, label) for label, v in sorted(zip(labeling.values(), labeling)))

@@ -17,37 +17,53 @@ making the graph radio graceful.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 from .graphs import HammingGraph, Vertex, check_materializable
 
 
-def build_blocks(*sizes: int) -> list[list[Vertex]]:
-    """All N / L blocks in order, each as its L rows, by the orbit walk, in
-    the caller's coordinates.  Raises GraphError for sizes that are no graph
-    and above graphs.MAX_MATERIALIZED_VERTICES vertices."""
+def build_blocks(*sizes: int) -> Iterator[list[Vertex]]:
+    """The N / L blocks in order, each as its L rows, by the orbit walk, in
+    the caller's coordinates, one block at a time.
+
+    Raises GraphError at the call, before any block, for sizes that are no
+    graph and above graphs.MAX_MATERIALIZED_VERTICES vertices.  The walk
+    holds one block and the N / n_min placed rows whose smallest factor
+    n_min >= 2 is at 1: O(L + N / n_min) rows, which saves little where L
+    is near N, as for coprime sizes or 24x25x26 (L = N / 2).  Each seed is
+    checked to lie on an unplaced orbit, so the blocks are distinct orbits
+    of L distinct rows: a bijection onto the vertices.
+    """
     g = HammingGraph(sizes)
     check_materializable(g)
+    return _walk(sizes, g.vertex_count)
+
+
+def _walk(sizes: tuple[int, ...], vertex_count: int) -> Iterator[list[Vertex]]:
     rows = math.lcm(*sizes)
     columns = [[r % n + 1 for r in range(rows)] for n in sizes]
-    by_size = sorted(range(len(sizes)), key=sizes.__getitem__)
-    steps = [c for c in reversed(by_size) if sizes[c] > 1]
-    stride = min((n for n in sizes if n > 1), default=1)
-    blocks = [list(zip(*columns))]
-    # each placed orbit's rows with the smallest factor >= 2 at 1: the walk
-    # tries that coordinate last and never steps it
-    placed = set(blocks[0][::stride])
-    for _ in range(1, g.vertex_count // rows):
+    by_size = [c for c in sorted(range(len(sizes)), key=sizes.__getitem__) if sizes[c] > 1]
+    # the smallest factor >= 2 stays at 1 in every seed: the walk never steps it
+    steps = by_size[:0:-1]
+    stride = sizes[by_size[0]] if by_size else 1
+    block = list(zip(*columns))
+    # each placed orbit's rows with that coordinate at 1
+    placed = set(block[::stride])
+    yield block
+    for _ in range(1, vertex_count // rows):
         # the seed is row 0, so columns[c][1] is its coordinate c plus 1
-        seed = blocks[-1][0]
+        seed = block[0]
         for c in steps:
             if seed[:c] + (columns[c][1],) + seed[c + 1 :] not in placed:
                 break
+        else:
+            raise AssertionError(f"orbit walk of {sizes} ran out of unplaced orbits")
         # L is a multiple of every size, so the +1 shift of a column's
         # values is the rotation of the column by one row
         columns[c] = columns[c][1:] + columns[c][:1]
-        blocks.append(list(zip(*columns)))
-        placed.update(blocks[-1][::stride])
-    return blocks
+        block = list(zip(*columns))
+        placed.update(block[::stride])
+        yield block
 
 
 def build_ordering(*sizes: int) -> list[Vertex]:

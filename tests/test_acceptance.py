@@ -99,7 +99,7 @@ def test_criterion_3_structural_properties(capsys):
             a, b, c = triple
             rows_per_block = math.lcm(a, b, c)
             block_count = a * b * c // rows_per_block
-            blocks = build_blocks(a, b, c)
+            blocks = list(build_blocks(a, b, c))
             assert len(blocks) == block_count, triple
             seeds = [oracles.block_seed(triple, k) for k in range(1, block_count + 1)]
             assert len(set(seeds)) == block_count, triple

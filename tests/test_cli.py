@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -81,7 +82,7 @@ def expected_blocks(sizes, block_count):
     ordering = build_ordering(*sizes)
     rows = math.lcm(*sizes)
     blocks = [ordering[i : i + rows] for i in range(0, len(ordering), rows)]
-    assert blocks == build_blocks(*sizes)
+    assert blocks == list(build_blocks(*sizes))
     assert len(blocks) == block_count
     assert [b[0] for b in blocks] == [
         oracles.block_seed(sizes, k) for k in range(1, block_count + 1)
@@ -160,6 +161,20 @@ class TestOrder:
         assert "ordering" not in payload
         blocks = [[parse_vertex(v) for v in b] for b in payload["blocks"]]
         assert blocks == expected_blocks(sizes, block_count)
+
+    def test_order_holds_one_block_at_a_time(self, capsys):
+        # 27,000 rows in 900 blocks of 30: holding the whole ordering and a
+        # set of its tuples peaks at 4.9 MB; one block and the 900 placed
+        # rows fit well under 1 MB
+        tracemalloc.start()
+        try:
+            code = main(["order", "30x30x30", "-o", os.devnull])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert peak < 1_000_000
 
     def test_json_flat(self, capsys):
         code, out, _ = run_cli(["order", "2x3x4", "--format", "json"], capsys)

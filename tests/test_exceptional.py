@@ -151,7 +151,7 @@ class TestLabeling233:
     def test_ordering_233_is_the_block_construction(self):
         # each block of six rows is a run of labels, with a jump between blocks
         lab = tight_233()
-        blocks = build_blocks(2, 3, 3)
+        blocks = list(build_blocks(2, 3, 3))
         assert build_ordering(2, 3, 3) == [v for block in blocks for v in block]
         assert [[lab[v] for v in block] for block in blocks] == [
             list(range(1, 7)), list(range(8, 14)), list(range(15, 21)),
@@ -214,7 +214,7 @@ class TestLabeling22n:
     def test_is_the_block_construction(self, n):
         # orbits of v -> v + (1, 1, 1), each from its closed-form seed
         sizes = (2, 2, n)
-        blocks = build_blocks(*sizes)
+        blocks = list(build_blocks(*sizes))
         assert build_ordering(*sizes) == [v for block in blocks for v in block]
         assert [block[0] for block in blocks] == [
             oracles.block_seed(sizes, k) for k in range(1, len(blocks) + 1)

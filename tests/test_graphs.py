@@ -11,7 +11,7 @@ from radiohamming import (
     parse_graph,
     parse_vertex,
 )
-from radiohamming.graphs import hamming
+from radiohamming.graphs import hamming, vertex_template
 
 sizes_strategy = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4).map(tuple)
 
@@ -113,6 +113,18 @@ def test_vertex_roundtrip(sizes, data):
     v = tuple(data.draw(st.integers(min_value=1, max_value=s)) for s in sizes)
     assert parse_vertex(format_vertex(v)) == v
     g.check_vertex(v)
+
+
+@given(sizes_strategy, st.data())
+def test_vertex_template_is_format_vertex(sizes, data):
+    v = tuple(data.draw(st.integers(min_value=1, max_value=s)) for s in sizes)
+    template = vertex_template(len(v))
+    assert template % v == format_vertex(v)
+    # a vertex of another dimension is refused, not cut or padded
+    with pytest.raises(TypeError):
+        template % (v + (1,))
+    with pytest.raises(TypeError):
+        vertex_template(len(v) + 1) % v
 
 
 @given(st.text())

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import itertools
@@ -14,14 +15,17 @@ from radiohamming import (
     GraphError,
     HammingGraph,
     LabelingError,
+    build_blocks,
     build_ordering,
     check_graceful,
+    format_vertex,
     read_labeling_csv,
     span_of_ordering,
     validate,
     verify_bijection,
     write_labeling_csv,
 )
+from radiohamming.labeling import stream_is_graceful
 
 import oracles
 
@@ -315,6 +319,42 @@ def test_window_scan_and_shortcut_match_the_definitions(sizes, data):
     assert graceful == (span == len(ordering))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4)
+    .map(tuple)
+    .filter(lambda s: math.prod(s) <= 64),
+    data=st.data(),
+)
+def test_stream_graceful_test_agrees_with_check_graceful(sizes, data):
+    # the block construction (graceful away from the exceptional families),
+    # perhaps with two rows swapped, or any ordering; cut anywhere, so
+    # chunks come empty and shorter than diam - 1 too
+    g = HammingGraph(sizes)
+    if data.draw(st.booleans()):
+        ordering = build_ordering(*sizes)
+        i, j = data.draw(st.lists(st.sampled_from(range(len(ordering))), min_size=2, max_size=2))
+        ordering[i], ordering[j] = ordering[j], ordering[i]
+    else:
+        ordering = data.draw(st.permutations(g.vertices()))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(ordering)), max_size=10)))
+    chunks = [ordering[a:b] for a, b in zip([0, *cuts], [*cuts, len(ordering)])]
+    assert stream_is_graceful(g, chunks) == check_graceful(g, ordering).graceful
+    assert stream_is_graceful(g, iter(chunks)) == stream_is_graceful(g, [ordering])
+
+
+def test_stream_graceful_test_sees_across_chunks():
+    # each of 2x3x3's blocks is graceful on its own, and every flagged pair
+    # straddles two blocks: the first is positions 5 and 7, (1,2,2) and
+    # (1,1,2), two labels apart at distance 1
+    g = HammingGraph((2, 3, 3))
+    blocks = list(build_blocks(2, 3, 3))
+    assert all(stream_is_graceful(g, [block]) for block in blocks)
+    assert not stream_is_graceful(g, blocks)
+    assert not stream_is_graceful(g, [[v] for block in blocks for v in block])
+    assert stream_is_graceful(HammingGraph((3, 3, 6)), build_blocks(3, 3, 6))
+
+
 def _count_next_label(monkeypatch):
     calls = []
     next_label = labeling_mod.next_label
@@ -352,6 +392,22 @@ def test_labeling_csv_roundtrip(tmp_path):
     blank = tmp_path / "blank.csv"
     blank.write_text('vertex,label\n"(1,1)",1\n\n"(2,2)",2\n')
     assert read_labeling_csv(str(blank)) == {(1, 1): 1, (2, 2): 2}
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 7), (1, 2, 3, 3), (5,)])
+def test_labeling_csv_rows_are_format_vertex_and_label(sizes):
+    # gappy (2x2x7), with a size-1 factor, and one coordinate, which csv
+    # writes unquoted: each row as a per-row writer of format_vertex would
+    labeling, _ = span_of_ordering(HammingGraph(sizes), build_ordering(*sizes))
+    out, expected = io.StringIO(), io.StringIO()
+    write_labeling_csv(out, labeling)
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["vertex", "label"])
+    for label, v in sorted((label, v) for v, label in labeling.items()):
+        writer.writerow([format_vertex(v), label])
+    assert out.getvalue() == expected.getvalue()
+    with pytest.raises(TypeError):
+        write_labeling_csv(io.StringIO(), {**labeling, (1,) * (len(sizes) + 1): 99})
 
 
 def test_labeling_csv_errors(tmp_path):

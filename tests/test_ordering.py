@@ -3,9 +3,11 @@ import itertools
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import radiohamming.ordering as ordering_mod
 from radiohamming import (
     GraphError,
     HammingGraph,
@@ -49,21 +51,21 @@ def middle_runs(blocks):
 
 
 def test_params_3x3x6():
-    blocks = build_blocks(3, 3, 6)
+    blocks = list(build_blocks(3, 3, 6))
     assert {len(b) for b in blocks} == {6}
     assert len(blocks) == 9
     assert middle_runs(blocks) == [3, 3, 3]
 
 
 def test_params_2x3x4():
-    blocks = build_blocks(2, 3, 4)
+    blocks = list(build_blocks(2, 3, 4))
     assert {len(b) for b in blocks} == {12}
     assert len(blocks) == 2
     assert middle_runs(blocks) == [2]
 
 
 def test_params_2x2x2():
-    blocks = build_blocks(2, 2, 2)
+    blocks = list(build_blocks(2, 2, 2))
     assert {len(b) for b in blocks} == {2}
     assert len(blocks) == 4
     assert middle_runs(blocks) == [2, 2]
@@ -71,7 +73,7 @@ def test_params_2x2x2():
 
 def test_params_rejects_small_factors():
     # a size-1 factor is a constant coordinate; sizes below 1 are no graph
-    assert build_blocks(2, 2, 1) == [[v + (1,) for v in b] for b in build_blocks(2, 2)]
+    assert list(build_blocks(2, 2, 1)) == [[v + (1,) for v in b] for b in build_blocks(2, 2)]
     with pytest.raises(GraphError):
         build_blocks()
     with pytest.raises(GraphError):
@@ -79,14 +81,14 @@ def test_params_rejects_small_factors():
 
 
 def test_seed_examples_3x3x6():
-    blocks = build_blocks(3, 3, 6)
+    blocks = list(build_blocks(3, 3, 6))
     assert blocks[0][0] == oracles.block_seed((3, 3, 6), 1) == (1, 1, 1)
     assert blocks[3][0] == oracles.block_seed((3, 3, 6), 4) == (1, 2, 3)
     assert blocks[6][0] == oracles.block_seed((3, 3, 6), 7) == (1, 3, 5)
 
 
 def test_block_entries_3x3x6():
-    blocks = build_blocks(3, 3, 6)
+    blocks = list(build_blocks(3, 3, 6))
     assert blocks[1][0] == (1, 1, 2)
     assert blocks[0][1] == (2, 2, 2)
     assert blocks[8][5] == (3, 2, 6)
@@ -130,6 +132,23 @@ def test_ordering_refuses_huge_sizes_before_allocating():
     assert peak < 100_000
 
 
+def test_blocks_refuse_huge_sizes_at_the_call():
+    # before the first block is asked for, so the CLI writes nothing
+    with pytest.raises(GraphError, match="27000000 vertices of 300x300x300"):
+        build_blocks(300, 300, 300)
+
+
+def test_walk_refuses_to_place_an_orbit_twice(monkeypatch):
+    # blocks of 2 rows cannot cover the orbits of K_2 x K_4, which have 4:
+    # after two blocks every step returns to a placed orbit
+    monkeypatch.setattr(ordering_mod, "math", SimpleNamespace(lcm=lambda *sizes: 2))
+    blocks = build_blocks(2, 4)
+    assert next(blocks) == [(1, 1), (2, 2)]
+    assert next(blocks) == [(1, 2), (2, 1)]
+    with pytest.raises(AssertionError, match="ran out of unplaced orbits"):
+        next(blocks)
+
+
 @pytest.mark.parametrize("triple", SMALL_TRIPLES)
 def test_structural_properties(triple):
     a, b, c = triple
@@ -139,7 +158,7 @@ def test_structural_properties(triple):
     assert blocks_per_middle * math.gcd(a, b) == block_count
     assert blocks_per_middle <= c
 
-    blocks = build_blocks(a, b, c)
+    blocks = list(build_blocks(a, b, c))
     assert len(blocks) == block_count
     assert middle_runs(blocks) == [blocks_per_middle] * math.gcd(a, b)
 
@@ -184,7 +203,7 @@ def test_structural_properties(triple):
 
 def test_lambda_one_case():
     # coprime middle pair: every block advances the middle column
-    blocks = build_blocks(2, 4, 5)
+    blocks = list(build_blocks(2, 4, 5))
     assert middle_runs(blocks) == [1, 1]
     assert [bl[0] for bl in blocks] == [(1, 1, 1), (1, 2, 1)]
     g = HammingGraph((2, 4, 5))
