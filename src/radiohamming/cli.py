@@ -15,14 +15,15 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
+from operator import add
 
 from .exceptional import FormulaDomainError, radio_number_formula
 from .graphs import GraphError, HammingGraph, parse_graph, vertex_template
 from .labeling import (
     LabelingError,
+    orbits_are_graceful,
     read_labeling_csv,
     span_of_ordering,
-    stream_is_graceful,
     validate,
     write_labeling_csv,
 )
@@ -101,16 +102,24 @@ def _print_json(payload: dict, out) -> None:
     out.write("\n")
 
 
+def _csv_vertex_template(dimension: int) -> str:
+    """vertex_template as csv.writer writes it: quoted when it holds a comma."""
+    template = vertex_template(dimension)
+    return f'"{template}"' if dimension > 1 else template
+
+
 def cmd_order(args) -> int:
     g, permutation = _sorted_graph(args.spec)
     # two walks of the blocks, so that the warning precedes any output and
-    # no more than one block is held; JSON needs every row at once
-    graceful = stream_is_graceful(g, build_blocks(*g.factor_sizes))
+    # no more than one block is held; JSON needs every row at once.  The
+    # first walk is skipped when the sizes alone rule gracefulness out
+    graceful = orbits_are_graceful(g, build_blocks(*g.factor_sizes))
     if not graceful:
         print(f"warning: this ordering of {g} is a bijection but not graceful", file=sys.stderr)
-    vertex_text = vertex_template(len(g.factor_sizes)).__mod__
+    dimension = len(g.factor_sizes)
     with _open_output(args.output) as out:
         if args.format == "json":
+            vertex_text = vertex_template(dimension).__mod__
             blocks = [list(map(vertex_text, block)) for block in build_blocks(*g.factor_sizes)]
             payload = {
                 "spec": args.spec,
@@ -126,14 +135,14 @@ def cmd_order(args) -> int:
                 payload["ordering"] = [v for block in blocks for v in block]
             _print_json(payload, out)
         else:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(["position", "vertex"])
+            out.write("position,vertex\n")
+            row = f"%d,{_csv_vertex_template(dimension)}\n"
             position = 1
             for k, block in enumerate(build_blocks(*g.factor_sizes)):
                 if args.blocks and k:
                     out.write(f"# block {k + 1}\n")
                 positions = range(position, position + len(block))
-                writer.writerows(zip(positions, map(vertex_text, block)))
+                out.write("".join(map(row.__mod__, map(add, zip(positions), block))))
                 position += len(block)
     return EXIT_OK
 
@@ -186,10 +195,24 @@ def cmd_solve(args) -> int:
 
 def cmd_label(args) -> int:
     g, _ = _sorted_graph(args.spec)
-    radio_number_formula(*g.factor_sizes)  # no closed form, no optimal labeling: exit 2
-    labeling, span = span_of_ordering(g, build_ordering(*g.factor_sizes))
-    with _open_output(args.output) as out:
-        write_labeling_csv(out, labeling)
+    sizes = g.factor_sizes
+    radio_number_formula(*sizes)  # no closed form, no optimal labeling: exit 2
+    if orbits_are_graceful(g, build_blocks(*sizes)):
+        # the labels are the positions: write write_labeling_csv's rows
+        # straight from the blocks, one block at a time
+        span = g.vertex_count
+        row = f"{_csv_vertex_template(len(sizes))},%d\n"
+        with _open_output(args.output) as out:
+            out.write("vertex,label\n")
+            position = 1
+            for block in build_blocks(*sizes):
+                positions = range(position, position + len(block))
+                out.write("".join(map(row.__mod__, map(add, block, zip(positions)))))
+                position += len(block)
+    else:
+        labeling, span = span_of_ordering(g, build_ordering(*sizes))
+        with _open_output(args.output) as out:
+            write_labeling_csv(out, labeling)
     if not args.certify:
         return EXIT_OK
     solved, exit_code = _certify(g, span, _solver_config(args))

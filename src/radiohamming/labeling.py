@@ -16,19 +16,24 @@ and per-pair work runs in C-level streams (map, zip, itemgetter, islice),
 column by column: HammingGraph.are_vertices, and one window scan that adds
 the label gap to per-column coordinate mismatches to flag pairs.
 
-check_graceful is the one yes/no graceful test: the window scan on the
-consecutive labels, stopped at the first flagged pair.  stream_is_graceful
-runs the same scan on an ordering given chunk by chunk, such as
-build_blocks's, with the last diam(G) - 1 rows carried over.  span_of_ordering
-starts from it and, on a graceful ordering, returns the labels 1..N without
-the greedy loop.  This is exact: by induction, the greedy gives position i
-the label i for every i iff the consecutive labeling is a radio labeling.
-Violation objects are built only for validate's reports.
+check_graceful is the yes/no graceful test of any ordering: the window scan
+on the consecutive labels, stopped at the first flagged pair.
+orbits_are_graceful is the same test for the orbit walk's blocks
+(build_blocks): inside an orbit of v -> v + (1, ..., 1), rows i and i + D
+differ exactly in the coordinates whose size does not divide D, so the pairs
+inside a block are settled once from the sizes, and the scan runs only across
+block boundaries, on the diam(G) - 1 rows either side.  span_of_ordering
+starts from check_graceful and, on a graceful ordering, returns the labels
+1..N without the greedy loop.  This is exact: by induction, the greedy gives
+position i the label i for every i iff the consecutive labeling is a radio
+labeling.  Violation objects are built only for validate's reports.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from operator import add, itemgetter, le, lt, ne, sub
@@ -158,26 +163,35 @@ def check_graceful(g: HammingGraph, ordering: Ordering) -> GracefulReport:
     """
     if not verify_bijection(g, ordering):
         raise LabelingError(f"ordering is not a bijection onto the vertices of {g}")
-    return GracefulReport(graceful=stream_is_graceful(g, [ordering]))
+    flagged = _window_violations(ordering, range(len(ordering)), g.diameter)
+    return GracefulReport(graceful=next(flagged, None) is None)
 
 
-def stream_is_graceful(g: HammingGraph, chunks: Iterable[Ordering]) -> bool:
-    """Whether f(x_i) = i is a radio labeling of the ordering that the chunks
-    form when concatenated, read one chunk at a time.
+def orbits_are_graceful(g: HammingGraph, blocks: Iterable[Ordering]) -> bool:
+    """Whether f(x_i) = i is a radio labeling of the ordering that the blocks
+    form when concatenated, for blocks that are whole orbits of the diagonal
+    shift v -> v + (1, ..., 1), each listed from its seed: build_blocks's.
 
-    Each chunk is scanned behind the last diam(G) - 1 rows before it, the
-    only ones its rows can violate the condition with, and the scan stops
-    at the first flagged pair.  Holds one chunk and diam(G) - 1 rows.  The
-    rows are taken to be distinct vertices of g: check that separately
-    (verify_bijection, or build_blocks's own walk).
+    Rows i and i + D of one orbit differ in exactly the coordinates whose
+    size does not divide D, so the pairs inside the blocks are checked from
+    the sizes alone, before any block is read.  A pair fewer than diam(G)
+    rows apart across a block boundary lies among the last diam(G) - 1 rows
+    before it and the first diam(G) - 1 rows after it, and only those are
+    scanned; the rows before it are carried across blocks shorter than
+    that.  Holds one block and diam(G) - 1 rows.  The blocks are taken to be
+    distinct orbits of g: build_blocks's walk checks that.
     """
-    diam = g.diameter
-    tail: Ordering = ()
-    for chunk in chunks:
-        window = [*tail, *chunk] if tail else chunk
+    sizes, diam = g.factor_sizes, g.diameter
+    for delta in range(1, min(diam, math.lcm(*sizes))):
+        if sum(delta % n != 0 for n in sizes) <= diam - delta:
+            return False
+    reach = max(diam - 1, 0)
+    tail: deque[Vertex] = deque(maxlen=reach)
+    for block in blocks:
+        window = [*tail, *block[:reach]]
         if next(_window_violations(window, range(len(window)), diam), None) is not None:
             return False
-        tail = window[max(len(window) - diam + 1, 0) :]
+        tail.extend(islice(block, max(len(block) - reach, 0), None))
     return True
 
 

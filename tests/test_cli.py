@@ -20,10 +20,12 @@ from radiohamming import (
     SolverConfig,
     build_blocks,
     build_ordering,
+    format_vertex,
     parse_vertex,
     read_labeling_csv,
     span_of_ordering,
     validate,
+    write_labeling_csv,
 )
 from radiohamming.cli import main
 
@@ -175,6 +177,25 @@ class TestOrder:
         assert code == 0
         assert capsys.readouterr().err == ""
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("blocks", [False, True], ids=["flat", "blocks"])
+    @pytest.mark.parametrize("sizes", [(7,), (2, 2), (1, 2, 3, 3), (2, 2, 4)], ids=str)
+    def test_csv_is_csv_writer_output(self, sizes, blocks, capsys):
+        # a vertex of one coordinate, "(7)", is the one that csv leaves unquoted
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["position", "vertex"])
+        position = 1
+        for k, block in enumerate(build_blocks(*sizes)):
+            if blocks and k:
+                expected.write(f"# block {k + 1}\n")
+            for v in block:
+                writer.writerow([position, format_vertex(v)])
+                position += 1
+        spec = "x".join(map(str, sizes))
+        code, out, _ = run_cli(["order", spec, *(["--blocks"] if blocks else [])], capsys)
+        assert code == 0
+        assert out == expected.getvalue()
 
     def test_json_flat(self, capsys):
         code, out, _ = run_cli(["order", "2x3x4", "--format", "json"], capsys)
@@ -477,6 +498,21 @@ class TestLabel:
         report = validate(HammingGraph((3, 3, 4)), labeling)
         assert report.valid
         assert report.span == 36
+
+    @pytest.mark.parametrize(
+        "spec,sizes",
+        [("2x3x4", (2, 3, 4)), ("3x3x6", (3, 3, 6)), ("1x2x3x3", (1, 2, 3, 3)),
+         ("30x30x30", (30, 30, 30)), ("6x3x3", (3, 3, 6))],
+    )
+    def test_label_writes_the_tight_labeling_csv(self, spec, sizes, capsys):
+        # graceful orderings are written straight from the blocks, the
+        # others (1x2x3x3) through span_of_ordering: the bytes are the same
+        labeling, _ = span_of_ordering(HammingGraph(sizes), build_ordering(*sizes))
+        expected = io.StringIO()
+        write_labeling_csv(expected, labeling)
+        code, out, _ = run_cli(["label", spec], capsys)
+        assert code == 0
+        assert out == expected.getvalue()
 
     def test_label_square(self, capsys):
         code, out, _ = run_cli(["label", "2x2"], capsys)

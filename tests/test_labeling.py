@@ -3,6 +3,7 @@ import dataclasses
 import io
 import itertools
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,8 @@ from radiohamming import (
     verify_bijection,
     write_labeling_csv,
 )
-from radiohamming.labeling import stream_is_graceful
+from radiohamming.cli import main
+from radiohamming.labeling import orbits_are_graceful
 
 import oracles
 
@@ -319,28 +321,27 @@ def test_window_scan_and_shortcut_match_the_definitions(sizes, data):
     assert graceful == (span == len(ordering))
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4)
-    .map(tuple)
-    .filter(lambda s: math.prod(s) <= 64),
-    data=st.data(),
-)
-def test_stream_graceful_test_agrees_with_check_graceful(sizes, data):
-    # the block construction (graceful away from the exceptional families),
-    # perhaps with two rows swapped, or any ordering; cut anywhere, so
-    # chunks come empty and shorter than diam - 1 too
-    g = HammingGraph(sizes)
-    if data.draw(st.booleans()):
-        ordering = build_ordering(*sizes)
-        i, j = data.draw(st.lists(st.sampled_from(range(len(ordering))), min_size=2, max_size=2))
-        ordering[i], ordering[j] = ordering[j], ordering[i]
-    else:
-        ordering = data.draw(st.permutations(g.vertices()))
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(ordering)), max_size=10)))
-    chunks = [ordering[a:b] for a, b in zip([0, *cuts], [*cuts, len(ordering)])]
-    assert stream_is_graceful(g, chunks) == check_graceful(g, ordering).graceful
-    assert stream_is_graceful(g, iter(chunks)) == stream_is_graceful(g, [ordering])
+def test_orbit_test_agrees_with_check_graceful():
+    # every spec of 1-4 factors with sizes 1..5 and at most 1,000 vertices
+    graceful = {}
+    for k in range(1, 5):
+        for sizes in itertools.product(range(1, 6), repeat=k):
+            if math.prod(sizes) > 1000:
+                continue
+            g = HammingGraph(sizes)
+            graceful[sizes] = check_graceful(g, build_ordering(*sizes)).graceful
+            assert orbits_are_graceful(g, build_blocks(*sizes)) == graceful[sizes], sizes
+    assert (len(graceful), sum(graceful.values())) == (780, 595)
+
+
+def test_orbit_test_reads_no_block_when_the_sizes_fail():
+    # 2x2xn: rows two apart in an orbit differ only in the third coordinate,
+    # one below the 3 + 1 - 2 = 2 that the radio condition asks for
+    def unread():
+        raise AssertionError("a block was read")
+        yield
+
+    assert not orbits_are_graceful(HammingGraph((2, 2, 5000)), unread())
 
 
 def test_stream_graceful_test_sees_across_chunks():
@@ -349,10 +350,27 @@ def test_stream_graceful_test_sees_across_chunks():
     # (1,1,2), two labels apart at distance 1
     g = HammingGraph((2, 3, 3))
     blocks = list(build_blocks(2, 3, 3))
-    assert all(stream_is_graceful(g, [block]) for block in blocks)
-    assert not stream_is_graceful(g, blocks)
-    assert not stream_is_graceful(g, [[v] for block in blocks for v in block])
-    assert stream_is_graceful(HammingGraph((3, 3, 6)), build_blocks(3, 3, 6))
+    assert all(orbits_are_graceful(g, [block]) for block in blocks)
+    assert not orbits_are_graceful(g, blocks)
+    assert not orbits_are_graceful(g, iter(blocks))
+    assert orbits_are_graceful(HammingGraph((3, 3, 6)), build_blocks(3, 3, 6))
+
+
+def test_order_scans_only_the_block_boundaries(monkeypatch):
+    # 50x60x72: 120 blocks of 1,800 rows and diameter 3; the pairs inside a
+    # block are settled from the sizes, so every window scanned is the
+    # diam - 1 rows either side of a boundary
+    lengths = []
+    scan = labeling_mod._window_violations
+
+    def recording(vertices, labels, diam):
+        lengths.append(len(vertices))
+        return scan(vertices, labels, diam)
+
+    monkeypatch.setattr(labeling_mod, "_window_violations", recording)
+    assert main(["order", "50x60x72", "-o", os.devnull]) == 0
+    assert len(lengths) == 120
+    assert max(lengths) <= 2 * (3 - 1)
 
 
 def _count_next_label(monkeypatch):
