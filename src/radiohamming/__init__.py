@@ -1,4 +1,4 @@
-"""Radio labelings and exact radio numbers of diameter-3 Hamming graphs."""
+"""Radio labelings and exact radio numbers of Hamming graphs, any number of factors."""
 
 from .exceptional import (
     FormulaDomainError,

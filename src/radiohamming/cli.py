@@ -21,13 +21,12 @@ from .exceptional import FormulaDomainError, radio_number_formula
 from .graphs import GraphError, HammingGraph, parse_graph, vertex_template
 from .labeling import (
     LabelingError,
-    orbits_are_graceful,
     read_labeling_csv,
     span_of_ordering,
     validate,
     write_labeling_csv,
 )
-from .ordering import build_blocks, build_ordering
+from .ordering import build_blocks, walk_is_graceful
 from .solver import SolveResult, SolverConfig, SolverError, solve
 
 EXIT_OK = 0
@@ -110,17 +109,15 @@ def _csv_vertex_template(dimension: int) -> str:
 
 def cmd_order(args) -> int:
     g, permutation = _sorted_graph(args.spec)
-    # two walks of the blocks, so that the warning precedes any output and
-    # no more than one block is held; JSON needs every row at once.  The
-    # first walk is skipped when the sizes alone rule gracefulness out
-    graceful = orbits_are_graceful(g, build_blocks(*g.factor_sizes))
+    sizes = g.factor_sizes
+    blocks = build_blocks(*sizes)  # refuses a graph too large before any output
+    graceful = walk_is_graceful(*sizes)
     if not graceful:
         print(f"warning: this ordering of {g} is a bijection but not graceful", file=sys.stderr)
-    dimension = len(g.factor_sizes)
     with _open_output(args.output) as out:
         if args.format == "json":
-            vertex_text = vertex_template(dimension).__mod__
-            blocks = [list(map(vertex_text, block)) for block in build_blocks(*g.factor_sizes)]
+            vertex_text = vertex_template(len(sizes)).__mod__
+            blocks = [list(map(vertex_text, block)) for block in blocks]
             payload = {
                 "spec": args.spec,
                 "sorted_spec": str(g),
@@ -136,9 +133,9 @@ def cmd_order(args) -> int:
             _print_json(payload, out)
         else:
             out.write("position,vertex\n")
-            row = f"%d,{_csv_vertex_template(dimension)}\n"
+            row = f"%d,{_csv_vertex_template(len(sizes))}\n"
             position = 1
-            for k, block in enumerate(build_blocks(*g.factor_sizes)):
+            for k, block in enumerate(blocks):
                 if args.blocks and k:
                     out.write(f"# block {k + 1}\n")
                 positions = range(position, position + len(block))
@@ -197,7 +194,8 @@ def cmd_label(args) -> int:
     g, _ = _sorted_graph(args.spec)
     sizes = g.factor_sizes
     radio_number_formula(*sizes)  # no closed form, no optimal labeling: exit 2
-    if orbits_are_graceful(g, build_blocks(*sizes)):
+    blocks = build_blocks(*sizes)
+    if walk_is_graceful(*sizes):
         # the labels are the positions: write write_labeling_csv's rows
         # straight from the blocks, one block at a time
         span = g.vertex_count
@@ -205,12 +203,12 @@ def cmd_label(args) -> int:
         with _open_output(args.output) as out:
             out.write("vertex,label\n")
             position = 1
-            for block in build_blocks(*sizes):
+            for block in blocks:
                 positions = range(position, position + len(block))
                 out.write("".join(map(row.__mod__, map(add, block, zip(positions)))))
                 position += len(block)
     else:
-        labeling, span = span_of_ordering(g, build_ordering(*sizes))
+        labeling, span = span_of_ordering(g, [v for block in blocks for v in block])
         with _open_output(args.output) as out:
             write_labeling_csv(out, labeling)
     if not args.certify:

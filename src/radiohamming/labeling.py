@@ -18,26 +18,20 @@ the label gap to per-column coordinate mismatches to flag pairs.
 
 check_graceful is the yes/no graceful test of any ordering: the window scan
 on the consecutive labels, stopped at the first flagged pair.
-orbits_are_graceful is the same test for the orbit walk's blocks
-(build_blocks): inside an orbit of v -> v + (1, ..., 1), rows i and i + D
-differ exactly in the coordinates whose size does not divide D, so the pairs
-inside a block are settled once from the sizes, and the scan runs only across
-block boundaries, on the diam(G) - 1 rows either side.  span_of_ordering
-starts from check_graceful and, on a graceful ordering, returns the labels
-1..N without the greedy loop.  This is exact: by induction, the greedy gives
-position i the label i for every i iff the consecutive labeling is a radio
-labeling.  Violation objects are built only for validate's reports.
+span_of_ordering starts from check_graceful and, on a graceful ordering,
+returns the labels 1..N without the greedy loop.  This is exact: by
+induction, the greedy gives position i the label i for every i iff the
+consecutive labeling is a radio labeling.  Violation objects are built only
+for validate's reports.
 """
 
 from __future__ import annotations
 
 import csv
-import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from operator import add, itemgetter, le, lt, ne, sub
-from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
+from typing import Callable, Iterator, Sequence, TextIO, Union
 
 from .graphs import GraphError, HammingGraph, Vertex, are_ints, format_vertex, hamming
 from .graphs import parse_vertex, vertex_template
@@ -165,34 +159,6 @@ def check_graceful(g: HammingGraph, ordering: Ordering) -> GracefulReport:
         raise LabelingError(f"ordering is not a bijection onto the vertices of {g}")
     flagged = _window_violations(ordering, range(len(ordering)), g.diameter)
     return GracefulReport(graceful=next(flagged, None) is None)
-
-
-def orbits_are_graceful(g: HammingGraph, blocks: Iterable[Ordering]) -> bool:
-    """Whether f(x_i) = i is a radio labeling of the ordering that the blocks
-    form when concatenated, for blocks that are whole orbits of the diagonal
-    shift v -> v + (1, ..., 1), each listed from its seed: build_blocks's.
-
-    Rows i and i + D of one orbit differ in exactly the coordinates whose
-    size does not divide D, so the pairs inside the blocks are checked from
-    the sizes alone, before any block is read.  A pair fewer than diam(G)
-    rows apart across a block boundary lies among the last diam(G) - 1 rows
-    before it and the first diam(G) - 1 rows after it, and only those are
-    scanned; the rows before it are carried across blocks shorter than
-    that.  Holds one block and diam(G) - 1 rows.  The blocks are taken to be
-    distinct orbits of g: build_blocks's walk checks that.
-    """
-    sizes, diam = g.factor_sizes, g.diameter
-    for delta in range(1, min(diam, math.lcm(*sizes))):
-        if sum(delta % n != 0 for n in sizes) <= diam - delta:
-            return False
-    reach = max(diam - 1, 0)
-    tail: deque[Vertex] = deque(maxlen=reach)
-    for block in blocks:
-        window = [*tail, *block[:reach]]
-        if next(_window_violations(window, range(len(window)), diam), None) is not None:
-            return False
-        tail.extend(islice(block, max(len(block) - reach, 0), None))
-    return True
 
 
 def next_label(labels: Sequence[int], dist_back: Callable[[int], int], diam: int) -> int:

@@ -4,19 +4,34 @@ For K_{n1} x ... x K_{nk}, factors in any order and of size 1 too, each
 block is one orbit of the diagonal shift v -> v + (1, ..., 1): L = lcm(n1,
 ..., nk) rows, each row the previous one +1 cyclically in every coordinate,
 so a block is determined by its first row, its seed.  Block 1 is seeded at
-(1, ..., 1).  The walk takes the coordinates in ascending size order, and
-each next seed is the previous one +1 in the last of them whose orbit is
-not yet placed; a size-1 coordinate is constant and never stepped.  This
-walk places every orbit: it finishes the orbits that steps in the
-coordinates after j reach before it steps j.  For three factors it is the
-paper's recurrence, and away from the exceptional families (2,2,n) and
-(2,3,3) the flattened blocks' consecutive labeling is a radio labeling,
-making the graph radio graceful.
+(1, ..., 1), and the walk from seed to seed is an odometer.  Its step
+coordinates, steps, are the factors of size >= 2 in descending size (a
+stable sort) without the smallest, n_min, which stays at 1; a size-1
+coordinate is constant.  Digit i, the fastest first, has the radix
+r_i = gcd(n_{steps[i]}, lcm(n_min, n_{steps[i+1]}, n_{steps[i+2]}, ...)),
+and each next seed is the previous one +1 in the coordinate of the digit
+that carries, the one that goes up while the faster ones wrap.
+
+Why this is a bijection: in the group Q of orbits, Z_{n1} x ... x Z_{nk}
+modulo (1, ..., 1), let Q_i be generated by the unit steps in steps[0],
+..., steps[i-1].  m e_{steps[i]} lies in Q_i iff m = t (mod n_{steps[i]})
+for a t that n_min, n_{steps[i+1]}, ... all divide, so r_i, the least such
+m > 0, is the index [Q_{i+1} : Q_i].  By induction on i, each run of
+r_0 ... r_i blocks that starts with digits 0..i at 0 lists one coset
+x + Q_{i+1}, each orbit once: its j-th run of the faster digits lists
+x + j e_{steps[i]} + Q_i, and these r_i cosets are distinct.  The unit
+steps and (1, ..., 1) span Q, so the prod r_i = N / L blocks list every
+orbit once.  A step in a faster digit would return to the coset just
+finished, and the carrying step enters a new one, so this is also the walk
+that takes the fastest step whose orbit is unplaced: for three factors,
+the paper's recurrence.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
+from operator import mul
 from typing import Iterator
 
 from .graphs import HammingGraph, Vertex, check_materializable
@@ -24,46 +39,67 @@ from .graphs import HammingGraph, Vertex, check_materializable
 
 def build_blocks(*sizes: int) -> Iterator[list[Vertex]]:
     """The N / L blocks in order, each as its L rows, by the orbit walk, in
-    the caller's coordinates, one block at a time.
+    the caller's coordinates, one block at a time: O(L) rows held, which
+    saves little where L is near N (coprime sizes, or 24x25x26).
 
     Raises GraphError at the call, before any block, for sizes that are no
-    graph and above graphs.MAX_MATERIALIZED_VERTICES vertices.  The walk
-    holds one block and the N / n_min placed rows whose smallest factor
-    n_min >= 2 is at 1: O(L + N / n_min) rows, which saves little where L
-    is near N, as for coprime sizes or 24x25x26 (L = N / 2).  Each seed is
-    checked to lie on an unplaced orbit, so the blocks are distinct orbits
-    of L distinct rows: a bijection onto the vertices.
+    graph and above graphs.MAX_MATERIALIZED_VERTICES vertices.  The blocks
+    are distinct orbits, a bijection onto the vertices by the index argument
+    of the module docstring.
     """
-    g = HammingGraph(sizes)
-    check_materializable(g)
-    return _walk(sizes, g.vertex_count)
+    check_materializable(HammingGraph(sizes))
+    return _walk(sizes)
 
 
-def _walk(sizes: tuple[int, ...], vertex_count: int) -> Iterator[list[Vertex]]:
+def _odometer(sizes: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The walk's step coordinates, fastest digit first, and their radices."""
+    ascending = [c for c in sorted(range(len(sizes)), key=sizes.__getitem__) if sizes[c] > 1]
+    ordered = [sizes[c] for c in ascending]
+    radices = list(map(math.gcd, ordered, accumulate(ordered, math.lcm, initial=1)))
+    return ascending[:0:-1], radices[:0:-1]
+
+
+def _walk(sizes: tuple[int, ...]) -> Iterator[list[Vertex]]:
     rows = math.lcm(*sizes)
     columns = [[r % n + 1 for r in range(rows)] for n in sizes]
-    by_size = [c for c in sorted(range(len(sizes)), key=sizes.__getitem__) if sizes[c] > 1]
-    # the smallest factor >= 2 stays at 1 in every seed: the walk never steps it
-    steps = by_size[:0:-1]
-    stride = sizes[by_size[0]] if by_size else 1
+    steps, radices = _odometer(sizes)
+    places = list(accumulate(radices, mul))
     block = list(zip(*columns))
-    # each placed orbit's rows with that coordinate at 1
-    placed = set(block[::stride])
     yield block
-    for _ in range(1, vertex_count // rows):
-        # the seed is row 0, so columns[c][1] is its coordinate c plus 1
-        seed = block[0]
-        for c in steps:
-            if seed[:c] + (columns[c][1],) + seed[c + 1 :] not in placed:
-                break
-        else:
-            raise AssertionError(f"orbit walk of {sizes} ran out of unplaced orbits")
-        # L is a multiple of every size, so the +1 shift of a column's
-        # values is the rotation of the column by one row
+    for b in range(1, math.prod(radices)):
+        c = next(c for c, place in zip(steps, places) if b % place)
+        # n_c divides L, so +1 on the column's values rotates it by one row
         columns[c] = columns[c][1:] + columns[c][:1]
         block = list(zip(*columns))
-        placed.update(block[::stride])
         yield block
+
+
+def walk_is_graceful(*sizes: int) -> bool:
+    """Whether f(x_i) = i is a radio labeling of build_ordering(*sizes),
+    from the sizes alone, in O(k^2 diam) for k factors.
+
+    Pairs fewer than diam labels apart inside a block pass iff, for each
+    D < min(diam, L), more than diam - D sizes do not divide D.  Pairs D
+    labels apart across a step in coordinate c, with D < diam <= L, pass
+    iff more than diam - D of the x != c have n_x not dividing D, counting
+    c too when n_c does not divide D + 1.  With one block no coordinate is
+    stepped.  With blocks shorter than diam, the count at D = L is 1, for
+    row i of two consecutive blocks, and fails as that pair does.
+    """
+    diam = sum(n > 1 for n in sizes)
+
+    def differing(d: int) -> int:
+        return sum(d % n != 0 for n in sizes)
+
+    if any(differing(d) <= diam - d for d in range(1, min(diam, math.lcm(*sizes)))):
+        return False
+    steps, radices = _odometer(sizes)
+    return all(
+        differing(d) - (d % sizes[c] != 0) + ((d + 1) % sizes[c] != 0) > diam - d
+        for c, radix in zip(steps, radices)
+        if radix > 1
+        for d in range(1, diam)
+    )
 
 
 def build_ordering(*sizes: int) -> list[Vertex]:

@@ -181,3 +181,31 @@ def block_seed(sizes, k):
     lam = n3 * math.lcm(n1, n2) // math.lcm(n1, n2, n3)
     b, c = divmod(k - 1, lam)
     return (1, b + 1, (b * (lam - 1) + c) % n3 + 1)
+
+
+def placed_set_walk(sizes):
+    """The blocks of the orbit walk by its greedy rule: each block is the
+    orbit of v -> v + (1, ..., 1) from its seed, block 1 is seeded at
+    (1, ..., 1), and each next seed is the last one +1 in the first
+    coordinate whose step reaches an unplaced orbit, the coordinates taken
+    in descending size order (ties by descending index) without the
+    smallest factor of size >= 2.  Every placed vertex is remembered, and
+    the walk stops when no step reaches an unplaced orbit."""
+    rows = math.lcm(*sizes)
+    ascending = sorted((s, c) for c, s in enumerate(sizes) if s > 1)
+    moving = [c for _, c in reversed(ascending[1:])]
+    seed = (1,) * len(sizes)
+    placed = set()
+    blocks = []
+    while True:
+        columns = [[(x - 1 + t) % s + 1 for t in range(rows)] for x, s in zip(seed, sizes)]
+        block = list(zip(*columns))
+        blocks.append(block)
+        placed.update(block)
+        for c in moving:
+            step = seed[:c] + (seed[c] % sizes[c] + 1,) + seed[c + 1 :]
+            if step not in placed:
+                seed = step
+                break
+        else:
+            return blocks

@@ -166,8 +166,8 @@ class TestOrder:
 
     def test_order_holds_one_block_at_a_time(self, capsys):
         # 27,000 rows in 900 blocks of 30: holding the whole ordering and a
-        # set of its tuples peaks at 4.9 MB; one block and the 900 placed
-        # rows fit well under 1 MB
+        # set of its tuples peaks at 4.9 MB; one block and its columns fit
+        # well under 1 MB
         tracemalloc.start()
         try:
             code = main(["order", "30x30x30", "-o", os.devnull])

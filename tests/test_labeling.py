@@ -16,7 +16,6 @@ from radiohamming import (
     GraphError,
     HammingGraph,
     LabelingError,
-    build_blocks,
     build_ordering,
     check_graceful,
     format_vertex,
@@ -27,7 +26,6 @@ from radiohamming import (
     write_labeling_csv,
 )
 from radiohamming.cli import main
-from radiohamming.labeling import orbits_are_graceful
 
 import oracles
 
@@ -321,56 +319,32 @@ def test_window_scan_and_shortcut_match_the_definitions(sizes, data):
     assert graceful == (span == len(ordering))
 
 
-def test_orbit_test_agrees_with_check_graceful():
-    # every spec of 1-4 factors with sizes 1..5 and at most 1,000 vertices
-    graceful = {}
-    for k in range(1, 5):
-        for sizes in itertools.product(range(1, 6), repeat=k):
-            if math.prod(sizes) > 1000:
-                continue
-            g = HammingGraph(sizes)
-            graceful[sizes] = check_graceful(g, build_ordering(*sizes)).graceful
-            assert orbits_are_graceful(g, build_blocks(*sizes)) == graceful[sizes], sizes
-    assert (len(graceful), sum(graceful.values())) == (780, 595)
+def test_order_and_label_walk_once_and_scan_no_window(monkeypatch):
+    # 50x60x72: 120 blocks of 1,800 rows; whether the walk is graceful is
+    # decided from the sizes, so neither command scans a window, and each
+    # writes from the one walk it starts
+    import radiohamming.cli as cli_mod
+    import radiohamming.ordering as ordering_mod
 
+    scans, walks = [], []
+    scan, walk = labeling_mod._window_violations, ordering_mod.build_blocks
 
-def test_orbit_test_reads_no_block_when_the_sizes_fail():
-    # 2x2xn: rows two apart in an orbit differ only in the third coordinate,
-    # one below the 3 + 1 - 2 = 2 that the radio condition asks for
-    def unread():
-        raise AssertionError("a block was read")
-        yield
+    def recording_scan(*args):
+        scans.append(1)
+        return scan(*args)
 
-    assert not orbits_are_graceful(HammingGraph((2, 2, 5000)), unread())
+    def recording_walk(*sizes):
+        walks.append(sizes)
+        return walk(*sizes)
 
-
-def test_stream_graceful_test_sees_across_chunks():
-    # each of 2x3x3's blocks is graceful on its own, and every flagged pair
-    # straddles two blocks: the first is positions 5 and 7, (1,2,2) and
-    # (1,1,2), two labels apart at distance 1
-    g = HammingGraph((2, 3, 3))
-    blocks = list(build_blocks(2, 3, 3))
-    assert all(orbits_are_graceful(g, [block]) for block in blocks)
-    assert not orbits_are_graceful(g, blocks)
-    assert not orbits_are_graceful(g, iter(blocks))
-    assert orbits_are_graceful(HammingGraph((3, 3, 6)), build_blocks(3, 3, 6))
-
-
-def test_order_scans_only_the_block_boundaries(monkeypatch):
-    # 50x60x72: 120 blocks of 1,800 rows and diameter 3; the pairs inside a
-    # block are settled from the sizes, so every window scanned is the
-    # diam - 1 rows either side of a boundary
-    lengths = []
-    scan = labeling_mod._window_violations
-
-    def recording(vertices, labels, diam):
-        lengths.append(len(vertices))
-        return scan(vertices, labels, diam)
-
-    monkeypatch.setattr(labeling_mod, "_window_violations", recording)
-    assert main(["order", "50x60x72", "-o", os.devnull]) == 0
-    assert len(lengths) == 120
-    assert max(lengths) <= 2 * (3 - 1)
+    monkeypatch.setattr(labeling_mod, "_window_violations", recording_scan)
+    monkeypatch.setattr(cli_mod, "build_blocks", recording_walk)
+    monkeypatch.setattr(ordering_mod, "build_blocks", recording_walk)
+    for command in ("order", "label"):
+        scans.clear()
+        walks.clear()
+        assert main([command, "50x60x72", "-o", os.devnull]) == 0
+        assert (len(scans), walks) == (0, [(50, 60, 72)]), command
 
 
 def _count_next_label(monkeypatch):

@@ -3,11 +3,9 @@ import itertools
 import math
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-import radiohamming.ordering as ordering_mod
 from radiohamming import (
     GraphError,
     HammingGraph,
@@ -18,6 +16,7 @@ from radiohamming import (
     span_of_ordering,
     verify_bijection,
 )
+from radiohamming.ordering import walk_is_graceful
 
 import oracles
 
@@ -138,15 +137,20 @@ def test_blocks_refuse_huge_sizes_at_the_call():
         build_blocks(300, 300, 300)
 
 
-def test_walk_refuses_to_place_an_orbit_twice(monkeypatch):
-    # blocks of 2 rows cannot cover the orbits of K_2 x K_4, which have 4:
-    # after two blocks every step returns to a placed orbit
-    monkeypatch.setattr(ordering_mod, "math", SimpleNamespace(lcm=lambda *sizes: 2))
-    blocks = build_blocks(2, 4)
-    assert next(blocks) == [(1, 1), (2, 2)]
-    assert next(blocks) == [(1, 2), (2, 1)]
-    with pytest.raises(AssertionError, match="ran out of unplaced orbits"):
-        next(blocks)
+def test_walk_matches_the_placed_set_walk():
+    # the odometer's carries against the greedy walk that remembers every
+    # placed vertex, on every spec of 1-5 factors with sizes 1..6 and at
+    # most 1,000 vertices: no orbit is placed twice and none is left out
+    specs = 0
+    for k in range(1, 6):
+        for sizes in itertools.product(range(1, 7), repeat=k):
+            if math.prod(sizes) > 1000:
+                continue
+            blocks = list(build_blocks(*sizes))
+            assert blocks == oracles.placed_set_walk(sizes), sizes
+            assert len({v for block in blocks for v in block}) == math.prod(sizes), sizes
+            specs += 1
+    assert specs == 8177
 
 
 @pytest.mark.parametrize("triple", SMALL_TRIPLES)
@@ -248,3 +252,60 @@ def test_orbit_walk_seeds_are_the_papers_up_to_12():
     for triple in itertools.combinations_with_replacement(range(2, 13), 3):
         seeds = [rows[0] for rows in build_blocks(*triple)]
         assert seeds == [oracles.block_seed(triple, k) for k in range(1, len(seeds) + 1)], triple
+
+
+def test_walk_is_graceful_agrees_with_check_graceful():
+    # every spec of 1-4 factors with sizes 1..5 and at most 1,000 vertices
+    graceful = {}
+    for k in range(1, 5):
+        for sizes in itertools.product(range(1, 6), repeat=k):
+            if math.prod(sizes) > 1000:
+                continue
+            g = HammingGraph(sizes)
+            graceful[sizes] = check_graceful(g, build_ordering(*sizes)).graceful
+            assert walk_is_graceful(*sizes) == graceful[sizes], sizes
+    assert (len(graceful), sum(graceful.values())) == (780, 595)
+    # blocks shorter than the diameter, and one block
+    for sizes in [(2,) * 5, (2,) * 6, (3,) * 5, (2, 2, 2, 2, 4), (5, 6, 7)]:
+        graceful = check_graceful(HammingGraph(sizes), build_ordering(*sizes)).graceful
+        assert walk_is_graceful(*sizes) == graceful == (sizes == (5, 6, 7)), sizes
+
+
+def test_walk_of_2x3x3_fails_only_across_its_boundaries():
+    # rows D < 3 apart in an orbit differ in the coordinates whose size does
+    # not divide D: 3 at D = 1 and 2 at D = 2, so each block passes alone.
+    # The walk steps coordinate 3 only, and two rows two labels apart on
+    # either side of a boundary differ in coordinate 2 alone, as 3 divides
+    # 2 + 1
+    sizes = (2, 3, 3)
+    blocks = list(build_blocks(*sizes))
+    assert [block[0] for block in blocks] == [(1, 1, 1), (1, 1, 2), (1, 1, 3)]
+    for block in blocks:
+        assert oracles.radio_valid(sizes, dict(zip(block, range(1, 7))))
+    ordering = [v for block in blocks for v in block]
+    flagged = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(ordering)), 2)
+        if j - i < 3 and oracles.mismatch(ordering[i], ordering[j]) < 4 - (j - i)
+    ]
+    assert flagged[0] == (4, 6)  # (1,2,2) and (1,1,2)
+    assert all(i // 6 != j // 6 and j - i == 2 for i, j in flagged)
+    assert not walk_is_graceful(*sizes)
+    assert walk_is_graceful(3, 3, 6)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 5000])
+def test_walk_of_2x2xn_fails_inside_its_blocks(n):
+    # rows two apart in an orbit differ only in coordinate 3, as 2 divides
+    # 2: distance 1, below the 3 + 1 - 2 = 2 that the radio condition asks
+    block = next(build_blocks(2, 2, n))
+    assert oracles.mismatch(block[0], block[2]) == 1
+    assert not walk_is_graceful(2, 2, n)
+
+
+def test_walk_is_graceful_reads_only_the_sizes():
+    # graphs far too large to build
+    assert not walk_is_graceful(2, 2, 10**12)
+    assert walk_is_graceful(1000, 1000, 1001)
+    with pytest.raises(GraphError):
+        build_blocks(1000, 1000, 1001)
