@@ -11,10 +11,14 @@ window width D < diam(G).
 Only pairs whose labels differ by less than diam(G) can violate the radio
 condition, so validation scans the label-sorted vertices for pairs one, two,
 ... places apart and stops at the first distance with no gap below diam(G);
-with distinct labels that is O(N * diam) after the sort.  The per-vertex
-and per-pair work runs in C-level streams (map, zip, itemgetter, islice),
-column by column: HammingGraph.are_vertices, and one window scan that adds
-the label gap to per-column coordinate mismatches to flag pairs.
+with distinct labels that is O(N * diam) after the sort.  Vertices are
+checked in bulk (HammingGraph.are_vertices).  The one window scan is
+lane-packed: a chunk of 4,096 positions packs its labels and each
+coordinate column into one int, a 32- or 64-bit lane per position, and a
+few big-int operations test all its pairs at one offset.  Its partners end
+at its last label + diam(G), as no pair further apart can violate.  After
+the bulk check every coordinate is at most its factor size, so at most N,
+which bounds the lane width without reading the coordinates.
 
 check_graceful is the yes/no graceful test of any ordering: the window scan
 on the consecutive labels, stopped at the first flagged pair.
@@ -28,9 +32,11 @@ for validate's reports.
 from __future__ import annotations
 
 import csv
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, count, islice, repeat
-from operator import add, itemgetter, le, lt, ne, sub
+from itertools import accumulate, compress, count, islice, repeat
+from operator import sub
 from typing import Callable, Iterator, Sequence, TextIO, Union
 
 from .graphs import GraphError, HammingGraph, Vertex, are_ints, format_vertex, hamming
@@ -38,6 +44,9 @@ from .graphs import parse_vertex, vertex_template
 
 RadioLabeling = dict[Vertex, int]
 Ordering = Sequence[Vertex]
+
+# Positions per chunk of the window scan.
+_CHUNK = 4096
 
 
 class LabelingError(ValueError):
@@ -118,24 +127,55 @@ def _window_violations(
     vertices: Sequence[Vertex], labels: Sequence[int], diam: int
 ) -> Iterator[tuple[int, int]]:
     """Positions i < j of the violating pairs among vertices sorted by
-    (label, vertex), one offset j - i at a time.
+    (label, vertex), a chunk of positions i and one offset j - i at a time.
 
-    A pair violates iff its label gap plus its distance is at most diam;
-    the distance is summed over lazy per-column mismatch streams.  Distinct
-    vertices are at distance >= 1, so only gaps below diam can violate, and
-    labels never decrease, so once no pair at some offset has a gap below
-    diam, no pair further apart has either.
+    A pair violates iff its label gap plus its distance is at most diam.
+    Distinct vertices are at distance >= 1, so only gaps below diam can
+    violate, and labels never decrease, so once no pair at some offset has
+    a gap below diam, no pair further apart has either.
     """
-    for delta in range(1, len(vertices)):
-        if not any(map(lt, map(sub, islice(labels, delta, None), labels), repeat(diam))):
-            return
-        total = map(sub, islice(labels, delta, None), labels)
-        for c in range(len(vertices[0])):
-            column = itemgetter(c)
-            differs = map(ne, map(column, islice(vertices, delta, None)), map(column, vertices))
-            total = map(add, total, differs)
-        for i in compress(count(), map(le, total, repeat(diam))):
-            yield i, i + delta
+    n = len(vertices)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        end = bisect_left(labels, labels[stop - 1] + diam, stop)
+        window = labels[start:end]
+        if window[-1] >> 63:
+            # rebased, each consecutive gap cut to diam: the gaps below diam
+            # stay exact and the others stay at least diam
+            window = list(accumulate(
+                map(min, map(sub, islice(window, 1, None), window), repeat(diam)), initial=0
+            ))
+        # labels, gaps and coordinates (at most n) stay below the top bit
+        width, code = (32, "I") if max(n, window[-1]) >> 31 == 0 else (64, "Q")
+        label_lanes, *columns = (
+            int.from_bytes(array(code, values).tobytes(), "little")
+            for values in (window, *zip(*vertices[start:end]))
+        )
+        lanes = stop - start
+        ones = int.from_bytes(bytes(array(code, [1])) * lanes, "little")
+        high = ones << (width - 1)
+        low = high - ones
+        at_least_diam = ones * ((1 << (width - 1)) - diam)
+        for delta in range(1, len(window)):
+            shift = width * delta
+            # lanes whose partner is past the window borrow, upwards only
+            tops = high >> width * max(0, lanes + delta - len(window))
+            # a lane's top bit is set iff its gap is at least diam
+            raised = (label_lanes >> shift) - label_lanes + at_least_diam
+            if raised & tops == tops:
+                break
+            # x + low carries into a lane's top bit iff x != 0; summed over
+            # the columns, a lane's count spills only into the next lane's
+            # bits below its top bit
+            differ = 0
+            for column in columns:
+                differ += (((column >> shift) ^ column) + low) & high
+            # the top bit is now clear iff gap + distance <= diam
+            sums = (raised + (differ >> (width - 1)) - ones) & tops
+            if sums != tops:
+                flags = ((sums ^ tops) >> (width - 1)).to_bytes(lanes * width // 8, "little")
+                for i in compress(count(start), memoryview(flags).cast(code)):
+                    yield i, i + delta
 
 
 def verify_bijection(g: HammingGraph, ordering: Ordering) -> bool:

@@ -54,6 +54,24 @@ def radio_valid(sizes, labeling):
     return True
 
 
+def violating_pairs(sizes, labeling):
+    """Every pair that breaks the radio condition, as (u, v, required gap,
+    actual gap), with u before v and the pairs in (label, vertex) order.
+    Labels diam or more apart meet the condition at any distance >= 1, so
+    the inner loop stops there."""
+    diam = diameter(sizes)
+    items = sorted((label, v) for v, label in labeling.items())
+    pairs = []
+    for i, (fu, u) in enumerate(items):
+        for fv, v in items[i + 1:]:
+            if fv - fu >= diam:
+                break
+            required = diam + 1 - mismatch(u, v)
+            if fv - fu < required:
+                pairs.append((u, v, required, fv - fu))
+    return pairs
+
+
 def greedy_labels(sizes, ordering):
     """Tightest monotone labeling for the order, recomputed from scratch."""
     diam = diameter(sizes)

@@ -2,9 +2,13 @@ import csv
 import dataclasses
 import io
 import itertools
+import json
 import math
+import operator
 import os
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -317,6 +321,90 @@ def test_window_scan_and_shortcut_match_the_definitions(sizes, data):
     consecutive = {v: i for i, v in enumerate(ordering, 1)}
     assert graceful == oracles.radio_valid(sizes, consecutive)
     assert graceful == (span == len(ordering))
+
+
+def _report_rows(report):
+    return [(v.u, v.v, v.required_gap, v.actual_gap) for v in report.violations]
+
+
+# label offsets below, at and above the 32- and 64-bit lane limits
+LABEL_BASES = [0, 2**31 - 9, 2**32, 2**63 - 9, 2**64, 10**20]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5).map(tuple)
+    .filter(lambda s: math.prod(s) <= 96),
+    chunk=st.sampled_from([1, 2, 3, 7, 64]),
+    base=st.sampled_from(LABEL_BASES),
+    data=st.data(),
+)
+def test_validate_matches_the_violating_pairs(sizes, chunk, base, data):
+    # few distinct labels give duplicates, and jumps of 2^31 and 2^64 put
+    # labels more than 31 and 64 bits apart in one window
+    g = HammingGraph(sizes)
+    n = g.vertex_count
+    offsets = st.integers(0, data.draw(st.sampled_from([n // 3, 2 * n, 4 * n])))
+    jumped = st.builds(operator.add, offsets, st.sampled_from([2**31, 2**64]))
+    labels = data.draw(st.lists(offsets | jumped, min_size=n, max_size=n))
+    labeling = {v: base + 1 + x for v, x in zip(g.vertices(), labels)}
+    with mock.patch.object(labeling_mod, "_CHUNK", chunk):
+        report = validate(g, labeling)
+    expected = oracles.violating_pairs(sizes, labeling)
+    assert _report_rows(report) == expected
+    assert report.valid == (not expected)
+    assert report.span == max(labeling.values())
+
+
+@pytest.mark.parametrize("base", [0, 2**64])
+def test_validate_and_check_graceful_across_a_full_chunk_seam(base):
+    g = HammingGraph((2, 2, 1100))
+    ordering = build_ordering(2, 2, 1100)
+    assert len(ordering) > labeling_mod._CHUNK
+    labeling = {v: base + i for i, v in enumerate(ordering, 1)}
+    expected = oracles.violating_pairs((2, 2, 1100), labeling)
+    assert _report_rows(validate(g, labeling)) == expected
+    assert expected and not check_graceful(g, ordering).graceful
+
+
+def test_verify_reports_labels_beyond_64_bits(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    base = 10**20
+    rows = [("(1,1)", base), ("(2,2)", base + 1), ("(2,1)", base + 3), ("(1,2)", base + 4)]
+    path.write_text("vertex,label\n" + "".join(f'"{v}",{f}\n' for v, f in rows))
+    assert main(["verify", "2x2", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "valid": true,\n  "span": 100000000000000000004,\n  "violations": []\n}\n'
+    )
+    rows[2] = ("(2,1)", base + 2)
+    path.write_text("vertex,label\n" + "".join(f'"{v}",{f}\n' for v, f in rows))
+    assert main(["verify", "2x2", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["violations"] == [
+        {"u": "(2,2)", "v": "(2,1)", "required_gap": 2, "actual_gap": 1},
+    ]
+
+
+def test_check_graceful_scans_in_chunk_sized_memory(monkeypatch):
+    # the set of verify_bijection is freed before the scan starts, so the
+    # peak after it is the scan's: chunks of 4,096 positions, not 216,000
+    g = HammingGraph((60, 60, 60))
+    ordering = build_ordering(60, 60, 60)
+    bijection = labeling_mod.verify_bijection
+
+    def bijection_then_reset_peak(*args):
+        ok = bijection(*args)
+        tracemalloc.reset_peak()
+        return ok
+
+    monkeypatch.setattr(labeling_mod, "verify_bijection", bijection_then_reset_peak)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert check_graceful(g, ordering).graceful
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2**20
 
 
 def test_order_and_label_walk_once_and_scan_no_window(monkeypatch):
