@@ -15,18 +15,19 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from operator import add
 
 from .exceptional import FormulaDomainError, radio_number_formula
 from .graphs import GraphError, HammingGraph, parse_graph, vertex_template
 from .labeling import (
     LabelingError,
+    csv_vertex_template,
+    label_blocks,
     read_labeling_csv,
-    span_of_ordering,
     validate,
+    write_csv_rows,
     write_labeling_csv,
 )
-from .ordering import build_blocks, walk_is_graceful
+from .ordering import block_columns, walk_is_graceful
 from .solver import SolveResult, SolverConfig, SolverError, solve
 
 EXIT_OK = 0
@@ -101,23 +102,26 @@ def _print_json(payload: dict, out) -> None:
     out.write("\n")
 
 
-def _csv_vertex_template(dimension: int) -> str:
-    """vertex_template as csv.writer writes it: quoted when it holds a comma."""
-    template = vertex_template(dimension)
-    return f'"{template}"' if dimension > 1 else template
+def _numbered(walk):
+    """(positions, columns) of each block of a walk, positions counted from 1."""
+    position = 1
+    for columns in walk:
+        positions = range(position, position + len(columns[0]))
+        yield positions, columns
+        position = positions.stop
 
 
 def cmd_order(args) -> int:
     g, permutation = _sorted_graph(args.spec)
     sizes = g.factor_sizes
-    blocks = build_blocks(*sizes)  # refuses a graph too large before any output
+    walk = block_columns(*sizes)  # refuses a graph too large before any output
     graceful = walk_is_graceful(*sizes)
     if not graceful:
         print(f"warning: this ordering of {g} is a bijection but not graceful", file=sys.stderr)
     with _open_output(args.output) as out:
         if args.format == "json":
             vertex_text = vertex_template(len(sizes)).__mod__
-            blocks = [list(map(vertex_text, block)) for block in blocks]
+            blocks = [list(map(vertex_text, zip(*columns))) for columns in walk]
             payload = {
                 "spec": args.spec,
                 "sorted_spec": str(g),
@@ -133,14 +137,11 @@ def cmd_order(args) -> int:
             _print_json(payload, out)
         else:
             out.write("position,vertex\n")
-            row = f"%d,{_csv_vertex_template(len(sizes))}\n"
-            position = 1
-            for k, block in enumerate(blocks):
+            row = f"%s,{csv_vertex_template(len(sizes))}\n"
+            for k, (positions, columns) in enumerate(_numbered(walk)):
                 if args.blocks and k:
                     out.write(f"# block {k + 1}\n")
-                positions = range(position, position + len(block))
-                out.write("".join(map(row.__mod__, map(add, zip(positions), block))))
-                position += len(block)
+                write_csv_rows(out, row, [positions, *columns])
     return EXIT_OK
 
 
@@ -194,23 +195,19 @@ def cmd_label(args) -> int:
     g, _ = _sorted_graph(args.spec)
     sizes = g.factor_sizes
     radio_number_formula(*sizes)  # no closed form, no optimal labeling: exit 2
-    blocks = build_blocks(*sizes)
+    walk = block_columns(*sizes)
     if walk_is_graceful(*sizes):
-        # the labels are the positions: write write_labeling_csv's rows
-        # straight from the blocks, one block at a time
-        span = g.vertex_count
-        row = f"{_csv_vertex_template(len(sizes))},%d\n"
-        with _open_output(args.output) as out:
-            out.write("vertex,label\n")
-            position = 1
-            for block in blocks:
-                positions = range(position, position + len(block))
-                out.write("".join(map(row.__mod__, map(add, block, zip(positions)))))
-                position += len(block)
+        # the labels are the positions
+        chunks = ([*columns, positions] for positions, columns in _numbered(walk))
     else:
-        labeling, span = span_of_ordering(g, [v for block in blocks for v in block])
-        with _open_output(args.output) as out:
-            write_labeling_csv(out, labeling)
+        # the labels increase along the walk, so its order is write_labeling_csv's
+        chunks = label_blocks(walk, g.diameter)
+    row = f"{csv_vertex_template(len(sizes))},%s\n"
+    with _open_output(args.output) as out:
+        out.write("vertex,label\n")
+        for columns in chunks:
+            write_csv_rows(out, row, columns)
+    span = columns[-1][-1]  # the last label
     if not args.certify:
         return EXIT_OK
     solved, exit_code = _certify(g, span, _solver_config(args))

@@ -26,18 +26,29 @@ span_of_ordering starts from check_graceful and, on a graceful ordering,
 returns the labels 1..N without the greedy loop.  This is exact: by
 induction, the greedy gives position i the label i for every i iff the
 consecutive labeling is a radio labeling.  Violation objects are built only
-for validate's reports.
+for validate's reports.  label_blocks runs the same greedy on an ordering
+given block by block, holding only the last diam - 1 labeled rows.
+
+CSV rows are read and written a chunk at a time, so that C does the per-row
+work.  read_labeling_csv takes each chunk of lines whose every line is a
+canonical row "(d,...,d)",d in one regex match and one JSON array; from the
+first chunk that is not, or that repeats a vertex, the csv reader reads the
+rest row by row, so its dict, key order and errors are those of the csv
+reader alone.  write_csv_rows writes a chunk of rows with one %-format.
 """
 
 from __future__ import annotations
 
 import csv
+import json
+import re
 from array import array
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import sub
-from typing import Callable, Iterator, Sequence, TextIO, Union
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
 
 from .graphs import GraphError, HammingGraph, Vertex, are_ints, format_vertex, hamming
 from .graphs import parse_vertex, vertex_template
@@ -47,6 +58,10 @@ Ordering = Sequence[Vertex]
 
 # Positions per chunk of the window scan.
 _CHUNK = 4096
+# Rows per chunk of the CSV reader and writer.  Larger chunks ran no faster,
+# and their temporaries raised the peak RSS of verify 30x30x30 (1,024 rows
+# by 0.3 MB, 4,096 by 1 MB).
+_CSV_ROWS = 256
 
 
 class LabelingError(ValueError):
@@ -244,6 +259,28 @@ def span_of_ordering(g: HammingGraph, ordering: Ordering) -> tuple[RadioLabeling
     return dict(zip(ordering, labels)), labels[-1]
 
 
+def label_blocks(
+    blocks: Iterable[list[Sequence[int]]], diam: int
+) -> Iterator[list[Sequence[int]]]:
+    """span_of_ordering's greedy labels of an ordering given block by block
+    as columns (ordering.block_columns), in chunks of at most _CSV_ROWS
+    rows: yields each chunk's columns with its labels as one more column.
+    The labels increase along the ordering, so next_label reads at most the
+    last diam - 1 labeled rows, the only ones held from chunk to chunk."""
+    labels: deque[int] = deque(maxlen=max(diam - 1, 1))
+    placed: deque[Vertex] = deque(maxlen=labels.maxlen)
+    for columns in blocks:
+        for start in range(0, len(columns[0]), _CSV_ROWS):
+            chunk = [column[start : start + _CSV_ROWS] for column in columns]
+            chunk_labels = []
+            for v in zip(*chunk):
+                label = next_label(labels, lambda j: hamming(placed[j], v), diam)
+                labels.append(label)
+                placed.append(v)
+                chunk_labels.append(label)
+            yield [*chunk, chunk_labels]
+
+
 def read_labeling_csv(source: Union[str, TextIO]) -> RadioLabeling:
     """Read a labeling from CSV with header "vertex,label".
 
@@ -258,19 +295,72 @@ def read_labeling_csv(source: Union[str, TextIO]) -> RadioLabeling:
             except UnicodeDecodeError as exc:
                 raise LabelingError(f"{source!r} is not {fh.encoding} text: {exc.reason}") from None
     try:
-        return _read_labeling_rows(csv.reader(source))
+        return _read_labeling_lines(iter(source))
     except csv.Error as exc:  # e.g. a field above csv.field_size_limit()
         raise LabelingError(f"malformed labeling CSV: {exc}") from None
 
 
+def _read_labeling_lines(lines: Iterator[str]) -> RadioLabeling:
+    """_read_labeling_rows(csv.reader(lines)), a chunk of _CSV_ROWS lines at a
+    time while every line of a chunk is a canonical row; from the first
+    chunk that is not, the csv reader takes the rest of the lines."""
+    _read_header(csv.reader(lines))
+    labeling: RadioLabeling = {}
+    while chunk := list(islice(lines, _CSV_ROWS)):
+        rows = _canonical_rows(chunk)
+        if rows is None or len(rows) < len(chunk) or not labeling.keys().isdisjoint(rows):
+            return _add_rows(csv.reader(chain(chunk, lines)), labeling)
+        labeling.update(rows)
+    return labeling
+
+
+def _canonical_rows(chunk: list[str]) -> RadioLabeling | None:
+    """The rows of chunk as a dict, if every line is a row "(d,...,d)",d of
+    one dimension, in ASCII digits without leading zeros, ended by an
+    optional CR and a newline, or the end of the text; None otherwise.
+
+    Such rows are what the csv reader would make of them, parsed in bulk:
+    one regex match for the chunk and one JSON array for its numbers.  The
+    field size limit is left to the csv reader, and a row of the chunk may
+    still repeat a vertex.
+    """
+    dimension = chunk[0].count(",")
+    text = "".join(chunk)
+    row = r'"\(' + ",".join(["[0-9]+"] * dimension) + r'\)",[0-9]+\r?(?:\n|\Z)'
+    if not (
+        dimension
+        and max(map(len, chunk)) <= csv.field_size_limit()
+        and re.fullmatch(f"(?:{row})*", text)
+    ):
+        return None
+    numbers = text.replace('"(', "").replace(')"', "").replace("\r", "").replace("\n", ",")
+    try:
+        values = json.loads(f"[{numbers.rstrip(',')}]")
+    except ValueError:  # a leading zero, or more digits than int() takes
+        return None
+    step = dimension + 1
+    vertices = zip(*(values[c::step] for c in range(dimension)))
+    return dict(zip(vertices, values[dimension::step]))
+
+
 def _read_labeling_rows(reader) -> RadioLabeling:
+    """The labeling of the rows of a csv reader, one row at a time: the
+    reference for read_labeling_csv and the reader of every row that is not
+    canonical."""
+    _read_header(reader)
+    return _add_rows(reader, {})
+
+
+def _read_header(reader) -> None:
     try:
         header = next(reader)
     except StopIteration:
         raise LabelingError("empty labeling file") from None
     if [h.strip().lower() for h in header] != ["vertex", "label"]:
         raise LabelingError(f"expected header 'vertex,label', got {header!r}")
-    labeling: RadioLabeling = {}
+
+
+def _add_rows(reader, labeling: RadioLabeling) -> RadioLabeling:
     for row in reader:
         if not row:
             continue
@@ -290,6 +380,21 @@ def _read_labeling_rows(reader) -> RadioLabeling:
     return labeling
 
 
+def csv_vertex_template(dimension: int) -> str:
+    """vertex_template as csv.writer writes it: quoted when it holds a comma."""
+    template = vertex_template(dimension)
+    return f'"{template}"' if dimension > 1 else template
+
+
+def write_csv_rows(out: TextIO, row: str, columns: Sequence[Sequence]) -> None:
+    """Write row % (column[i] for column in columns) for every i, one
+    %-format per chunk of _CSV_ROWS rows.  With %s fields, ints and a
+    csv_vertex_template, that is csv.writer's text for the same rows."""
+    for start in range(0, len(columns[0]), _CSV_ROWS):
+        chunk = [column[start : start + _CSV_ROWS] for column in columns]
+        out.write(row * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
+
+
 def write_labeling_csv(target: Union[str, TextIO], labeling: RadioLabeling) -> None:
     """Write a labeling, its vertices of one dimension, as CSV rows sorted
     by (label, vertex)."""
@@ -297,7 +402,11 @@ def write_labeling_csv(target: Union[str, TextIO], labeling: RadioLabeling) -> N
         with open(target, "w", newline="") as fh:
             write_labeling_csv(fh, labeling)
         return
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(["vertex", "label"])
-    template = vertex_template(len(next(iter(labeling), ())))
-    writer.writerows((template % v, label) for label, v in sorted(zip(labeling.values(), labeling)))
+    target.write("vertex,label\n")
+    if not labeling:
+        return
+    labels, vertices = zip(*sorted(zip(labeling.values(), labeling)))
+    dimension = len(vertices[0])
+    if set(map(len, vertices)) != {dimension}:
+        raise TypeError("the vertices of a labeling must have one dimension")
+    write_csv_rows(target, f"{csv_vertex_template(dimension)},%s\n", [*zip(*vertices), labels])

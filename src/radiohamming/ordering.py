@@ -25,6 +25,10 @@ orbit once.  A step in a faster digit would return to the coset just
 finished, and the carrying step enters a new one, so this is also the walk
 that takes the fastest step whose orbit is unplaced: for three factors,
 the paper's recurrence.
+
+The walk keeps each block as its k columns, each a rotation of the last
+block's.  block_columns yields them as they are, for writers that format a
+chunk of rows at once, and build_blocks zips them into rows.
 """
 
 from __future__ import annotations
@@ -37,10 +41,10 @@ from typing import Iterator
 from .graphs import HammingGraph, Vertex, check_materializable
 
 
-def build_blocks(*sizes: int) -> Iterator[list[Vertex]]:
-    """The N / L blocks in order, each as its L rows, by the orbit walk, in
-    the caller's coordinates, one block at a time: O(L) rows held, which
-    saves little where L is near N (coprime sizes, or 24x25x26).
+def block_columns(*sizes: int) -> Iterator[list[list[int]]]:
+    """The N / L blocks in order, each as its k columns of L values, by the
+    orbit walk, in the caller's coordinates, one block at a time: O(L) rows
+    held, which saves little where L is near N (coprime sizes, or 24x25x26).
 
     Raises GraphError at the call, before any block, for sizes that are no
     graph and above graphs.MAX_MATERIALIZED_VERTICES vertices.  The blocks
@@ -51,6 +55,11 @@ def build_blocks(*sizes: int) -> Iterator[list[Vertex]]:
     return _walk(sizes)
 
 
+def build_blocks(*sizes: int) -> Iterator[list[Vertex]]:
+    """block_columns(*sizes) with each block as its L rows."""
+    return (list(zip(*columns)) for columns in block_columns(*sizes))
+
+
 def _odometer(sizes: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """The walk's step coordinates, fastest digit first, and their radices."""
     ascending = [c for c in sorted(range(len(sizes)), key=sizes.__getitem__) if sizes[c] > 1]
@@ -59,19 +68,17 @@ def _odometer(sizes: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return ascending[:0:-1], radices[:0:-1]
 
 
-def _walk(sizes: tuple[int, ...]) -> Iterator[list[Vertex]]:
+def _walk(sizes: tuple[int, ...]) -> Iterator[list[list[int]]]:
     rows = math.lcm(*sizes)
     columns = [[r % n + 1 for r in range(rows)] for n in sizes]
     steps, radices = _odometer(sizes)
     places = list(accumulate(radices, mul))
-    block = list(zip(*columns))
-    yield block
+    yield list(columns)
     for b in range(1, math.prod(radices)):
         c = next(c for c, place in zip(steps, places) if b % place)
         # n_c divides L, so +1 on the column's values rotates it by one row
         columns[c] = columns[c][1:] + columns[c][:1]
-        block = list(zip(*columns))
-        yield block
+        yield list(columns)
 
 
 def walk_is_graceful(*sizes: int) -> bool:

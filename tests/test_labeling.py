@@ -20,6 +20,7 @@ from radiohamming import (
     GraphError,
     HammingGraph,
     LabelingError,
+    build_blocks,
     build_ordering,
     check_graceful,
     format_vertex,
@@ -415,7 +416,7 @@ def test_order_and_label_walk_once_and_scan_no_window(monkeypatch):
     import radiohamming.ordering as ordering_mod
 
     scans, walks = [], []
-    scan, walk = labeling_mod._window_violations, ordering_mod.build_blocks
+    scan, walk = labeling_mod._window_violations, ordering_mod.block_columns
 
     def recording_scan(*args):
         scans.append(1)
@@ -426,8 +427,8 @@ def test_order_and_label_walk_once_and_scan_no_window(monkeypatch):
         return walk(*sizes)
 
     monkeypatch.setattr(labeling_mod, "_window_violations", recording_scan)
-    monkeypatch.setattr(cli_mod, "build_blocks", recording_walk)
-    monkeypatch.setattr(ordering_mod, "build_blocks", recording_walk)
+    monkeypatch.setattr(cli_mod, "block_columns", recording_walk)
+    monkeypatch.setattr(ordering_mod, "block_columns", recording_walk)
     for command in ("order", "label"):
         scans.clear()
         walks.clear()
@@ -474,10 +475,14 @@ def test_labeling_csv_roundtrip(tmp_path):
     assert read_labeling_csv(str(blank)) == {(1, 1): 1, (2, 2): 2}
 
 
-@pytest.mark.parametrize("sizes", [(2, 2, 7), (1, 2, 3, 3), (5,)])
-def test_labeling_csv_rows_are_format_vertex_and_label(sizes):
-    # gappy (2x2x7), with a size-1 factor, and one coordinate, which csv
-    # writes unquoted: each row as a per-row writer of format_vertex would
+@pytest.mark.parametrize(
+    "sizes", [(2, 2, 7), (1, 2, 3, 3), (5,), (7,), (2, 2, 5000), (1, 1, 3, 4, 5), (5, 7, 37)]
+)
+def test_labeling_csv_rows_are_format_vertex_and_label(sizes, tmp_path):
+    # gappy (2x2x7, 2x2x5000), with size-1 factors, and one coordinate,
+    # which csv writes unquoted; 2x2x5000 has blocks of 5,000 rows and
+    # 5x7x37 one graceful block of 1,295, both across chunk seams: each
+    # file as a per-row writer of format_vertex would write it
     labeling, _ = span_of_ordering(HammingGraph(sizes), build_ordering(*sizes))
     out, expected = io.StringIO(), io.StringIO()
     write_labeling_csv(out, labeling)
@@ -486,6 +491,24 @@ def test_labeling_csv_rows_are_format_vertex_and_label(sizes):
     for label, v in sorted((label, v) for v, label in labeling.items()):
         writer.writerow([format_vertex(v), label])
     assert out.getvalue() == expected.getvalue()
+    spec = "x".join(map(str, sizes))
+    path = tmp_path / "label.csv"
+    if sum(n > 1 for n in sizes) == 3:  # label needs the closed form's three factors
+        assert main(["label", spec, "-o", str(path)]) == 0
+        assert path.read_text() == expected.getvalue()
+    # order --blocks, with its block markers
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["position", "vertex"])
+    position = 1
+    for k, block in enumerate(build_blocks(*sizes)):
+        if k:
+            expected.write(f"# block {k + 1}\n")
+        for v in block:
+            writer.writerow([position, format_vertex(v)])
+            position += 1
+    assert main(["order", spec, "--blocks", "-o", str(path)]) == 0
+    assert path.read_text() == expected.getvalue()
     with pytest.raises(TypeError):
         write_labeling_csv(io.StringIO(), {**labeling, (1,) * (len(sizes) + 1): 99})
 
@@ -526,3 +549,68 @@ def test_read_labeling_csv_raises_only_labeling_error(text):
     except LabelingError:
         return
     assert isinstance(labeling, dict)
+
+
+# Rows the chunked reader leaves to the csv reader, each for a reason
+ODD_ROWS = [
+    '"( 1, 2 )",5',  # spaces inside the vertex
+    "(3),4",  # an unquoted vertex of one coordinate
+    '"(1,\n2)",6',  # a quoted field across two lines
+    '"(1,2,3)",7',  # another dimension
+    "",  # a blank line
+    '"(1,1)",5',  # a vertex that the canonical rows may repeat
+    '"(01,2)",8',  # a leading zero
+    '"(1,' + "1" * 4301 + ')",9',  # more digits than int() takes
+    '"(1,\u0663)",9',  # a non-ASCII digit
+    '"(2,3)",1,2',  # three fields
+    '"(2,3)"',  # one field
+] + [f'"(2,3)",{label}' for label in ["+7", " 7 ", "7_0", "-1", "007", "\u0667", "1" * 4301, "x"]]
+
+
+def _read_outcome(read, text: str, newline: str):
+    try:
+        labeling = read(io.StringIO(text, newline=newline))
+    except LabelingError as exc:
+        return "error", str(exc)
+    return labeling, list(labeling)
+
+
+def _row_by_row(source):
+    try:
+        return labeling_mod._read_labeling_rows(csv.reader(source))
+    except csv.Error as exc:
+        raise LabelingError(f"malformed labeling CSV: {exc}") from None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    vertices=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), unique=True, max_size=24),
+    odd=st.lists(st.tuples(st.integers(0, 24), st.sampled_from(ODD_ROWS)), max_size=3),
+    ends=st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]), min_size=1, max_size=4),
+    last_end=st.booleans(),
+    chunk=st.sampled_from([1, 2, 3, 7]),
+    newline=st.sampled_from(["", "\n"]),
+)
+def test_chunked_reader_is_the_row_by_row_reader(vertices, odd, ends, last_end, chunk, newline):
+    # canonical rows with odd ones among them, across chunk seams: the same
+    # dict in the same key order, or the same error
+    rows = [f'"({a},{b})",{a * b + 1}' for a, b in vertices]
+    for i, row in odd:
+        rows.insert(i, row)
+    lines = ["vertex,label", *rows]
+    text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+    if not last_end:
+        text = text.rstrip("\r\n")
+    with mock.patch.object(labeling_mod, "_CSV_ROWS", chunk):
+        chunked = _read_outcome(read_labeling_csv, text, newline)
+    assert chunked == _read_outcome(_row_by_row, text, newline)
+
+
+def test_canonical_rows_skip_the_row_by_row_reader(tmp_path, monkeypatch):
+    sizes = (6, 7, 8)
+    labeling, _ = span_of_ordering(HammingGraph(sizes), build_ordering(*sizes))
+    path = tmp_path / "lab.csv"
+    write_labeling_csv(str(path), labeling)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    monkeypatch.setattr(labeling_mod, "_add_rows", None)
+    assert read_labeling_csv(str(path)) == labeling
