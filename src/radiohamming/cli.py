@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -21,7 +22,7 @@ from .graphs import GraphError, HammingGraph, parse_graph, vertex_template
 from .labeling import (
     LabelingError,
     csv_vertex_template,
-    label_blocks,
+    label_walk,
     read_labeling_csv,
     validate,
     write_csv_rows,
@@ -102,15 +103,6 @@ def _print_json(payload: dict, out) -> None:
     out.write("\n")
 
 
-def _numbered(walk):
-    """(positions, columns) of each block of a walk, positions counted from 1."""
-    position = 1
-    for columns in walk:
-        positions = range(position, position + len(columns[0]))
-        yield positions, columns
-        position = positions.stop
-
-
 def cmd_order(args) -> int:
     g, permutation = _sorted_graph(args.spec)
     sizes = g.factor_sizes
@@ -138,10 +130,11 @@ def cmd_order(args) -> int:
         else:
             out.write("position,vertex\n")
             row = f"%s,{csv_vertex_template(len(sizes))}\n"
-            for k, (positions, columns) in enumerate(_numbered(walk)):
+            rows = math.lcm(*sizes)  # in every block
+            for k, columns in enumerate(walk):
                 if args.blocks and k:
                     out.write(f"# block {k + 1}\n")
-                write_csv_rows(out, row, [positions, *columns])
+                write_csv_rows(out, row, [range(k * rows + 1, (k + 1) * rows + 1), *columns])
     return EXIT_OK
 
 
@@ -195,13 +188,8 @@ def cmd_label(args) -> int:
     g, _ = _sorted_graph(args.spec)
     sizes = g.factor_sizes
     radio_number_formula(*sizes)  # no closed form, no optimal labeling: exit 2
-    walk = block_columns(*sizes)
-    if walk_is_graceful(*sizes):
-        # the labels are the positions
-        chunks = ([*columns, positions] for positions, columns in _numbered(walk))
-    else:
-        # the labels increase along the walk, so its order is write_labeling_csv's
-        chunks = label_blocks(walk, g.diameter)
+    # the labels increase along the walk, so its order is write_labeling_csv's
+    chunks = label_walk(*sizes)
     row = f"{csv_vertex_template(len(sizes))},%s\n"
     with _open_output(args.output) as out:
         out.write("vertex,label\n")

@@ -21,13 +21,12 @@ the bulk check every coordinate is at most its factor size, so at most N,
 which bounds the lane width without reading the coordinates.
 
 check_graceful is the yes/no graceful test of any ordering: the window scan
-on the consecutive labels, stopped at the first flagged pair.
-span_of_ordering starts from check_graceful and, on a graceful ordering,
-returns the labels 1..N without the greedy loop.  This is exact: by
-induction, the greedy gives position i the label i for every i iff the
-consecutive labeling is a radio labeling.  Violation objects are built only
-for validate's reports.  label_blocks runs the same greedy on an ordering
-given block by block, holding only the last diam - 1 labeled rows.
+on the consecutive labels, stopped at the first flagged pair.  Violation
+objects are built only for validate's reports.  label_blocks is the one
+greedy loop, holding only the last diam - 1 labeled rows.  The greedy gives
+position i the label i for every i iff the ordering is graceful (by
+induction), so label_walk labels build_ordering's walk, and
+span_of_ordering any ordering, with the positions when it is graceful.
 
 CSV rows are read and written a chunk at a time, so that C does the per-row
 work.  read_labeling_csv takes each chunk of lines whose every line is a
@@ -41,6 +40,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from array import array
 from bisect import bisect_left
@@ -52,6 +52,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
 
 from .graphs import GraphError, HammingGraph, Vertex, are_ints, format_vertex, hamming
 from .graphs import parse_vertex, vertex_template
+from .ordering import block_columns, walk_is_graceful
 
 RadioLabeling = dict[Vertex, int]
 Ordering = Sequence[Vertex]
@@ -252,17 +253,15 @@ def span_of_ordering(g: HammingGraph, ordering: Ordering) -> tuple[RadioLabeling
     """
     if check_graceful(g, ordering).graceful:
         return dict(zip(ordering, range(1, len(ordering) + 1))), len(ordering)
-    diam = g.diameter
-    labels: list[int] = []
-    for v in ordering:
-        labels.append(next_label(labels, lambda j: hamming(ordering[j], v), diam))
+    chunks = label_blocks([list(zip(*ordering))], g.diameter)
+    labels = [label for *_, chunk_labels in chunks for label in chunk_labels]
     return dict(zip(ordering, labels)), labels[-1]
 
 
 def label_blocks(
     blocks: Iterable[list[Sequence[int]]], diam: int
 ) -> Iterator[list[Sequence[int]]]:
-    """span_of_ordering's greedy labels of an ordering given block by block
+    """The greedy (next_label) labels of an ordering given block by block
     as columns (ordering.block_columns), in chunks of at most _CSV_ROWS
     rows: yields each chunk's columns with its labels as one more column.
     The labels increase along the ordering, so next_label reads at most the
@@ -279,6 +278,17 @@ def label_blocks(
                 placed.append(v)
                 chunk_labels.append(label)
             yield [*chunk, chunk_labels]
+
+
+def label_walk(*sizes: int) -> Iterator[list[Sequence[int]]]:
+    """build_ordering(*sizes) as block_columns gives it, each chunk with its
+    tight labels as one more column: the positions where walk_is_graceful,
+    label_blocks' otherwise.  Raises GraphError at the call, before any chunk."""
+    walk = block_columns(*sizes)
+    if not walk_is_graceful(*sizes):
+        return label_blocks(walk, HammingGraph(sizes).diameter)
+    rows = math.lcm(*sizes)
+    return ([*block, range(k * rows + 1, (k + 1) * rows + 1)] for k, block in enumerate(walk))
 
 
 def read_labeling_csv(source: Union[str, TextIO]) -> RadioLabeling:

@@ -27,8 +27,8 @@ that takes the fastest step whose orbit is unplaced: for three factors,
 the paper's recurrence.
 
 The walk keeps each block as its k columns, each a rotation of the last
-block's.  block_columns yields them as they are, for writers that format a
-chunk of rows at once, and build_blocks zips them into rows.
+block's.  block_columns yields them as they are, for labeling.label_walk and
+for writers of a chunk of rows at once, and build_blocks zips them into rows.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def build_ordering(*sizes: int) -> list[Vertex]:
     """The full vertex ordering: blocks flattened row-major.
 
     Always a bijection onto the vertex set.  Its tight labeling
-    (span_of_ordering) has the closed form's span wherever
+    (labeling.label_walk) has the closed form's span wherever
     exceptional.radio_number_formula applies, 2x2 and 2x2xn included;
     elsewhere it is the solver's first incumbent.  For three factors the
     consecutive labeling is a radio labeling except for the families

@@ -12,9 +12,9 @@ least greedy climb f(x_w) - f(x_1) over w distinct vertices, and any s
 vertices consecutive in label order climb at least C(s).  The run search
 gives m[w] = w - 1 for w <= r and m[r + 1] >= r + 1, so 1 + C(N) is at least
 the jump bound N + ceil(N / r) - 1; search_orderings fills w = r + 1, r + 2,
-... exactly.  The first incumbent labels build_ordering, and its span is
-reported as construction_span; one of span 1 + C(N) is optimal with no
-search nodes, and one of span N needs no run search.  Below the root, the
+... exactly.  The first incumbent labels build_ordering (label_walk), and its
+span is reported as construction_span; one of span 1 + C(N) is optimal with
+no search nodes, and one of span N needs no run search.  Below the root, the
 branch and bound is the same search at w = N: a vertex at depth d is kept
 only when its label is below bound - C(N - d), and children are tried best
 label first, so 2x2x2x3 meets its root bound 35 in 253 nodes and 2x2x2x2x2
@@ -37,8 +37,7 @@ from .exceptional import (
     search_orderings,
 )
 from .graphs import HammingGraph
-from .labeling import RadioLabeling, span_of_ordering, validate
-from .ordering import build_ordering
+from .labeling import RadioLabeling, label_walk, validate
 
 _RUN_SEARCH_CAP = 200_000
 
@@ -151,8 +150,10 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
     started = time.perf_counter()
     n = g.vertex_count
     deadline = started + cfg.time_budget
-    best_lab, construction_span = span_of_ordering(g, build_ordering(*g.factor_sizes))
-    bound = construction_span
+    best_lab: RadioLabeling = {}
+    for *columns, labels in label_walk(*g.factor_sizes):
+        best_lab.update(zip(zip(*columns), labels))
+    bound = construction_span = labels[-1]
 
     # Root certificate: rn >= 1 + C(N) >= N
     table = _climb_table(g, bound, deadline)

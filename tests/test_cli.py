@@ -601,17 +601,19 @@ class TestSweep:
 
     @pytest.mark.parametrize("lmax,rows", [("4", 10), ("10", 165)])
     def test_sweep_builds_each_ordering_once(self, lmax, rows, capsys, monkeypatch):
+        import radiohamming.labeling as labeling_mod
         import radiohamming.ordering as ordering_mod
 
         calls = 0
-        build_blocks = ordering_mod.build_blocks
+        block_columns = ordering_mod.block_columns
 
-        def counting_blocks(*sizes):
+        def counting_walk(*sizes):
             nonlocal calls
             calls += 1
-            return build_blocks(*sizes)
+            return block_columns(*sizes)
 
-        monkeypatch.setattr(ordering_mod, "build_blocks", counting_blocks)
+        monkeypatch.setattr(ordering_mod, "block_columns", counting_walk)
+        monkeypatch.setattr(labeling_mod, "block_columns", counting_walk)
         code, out, _ = run_cli(["sweep", lmax], capsys)
         assert code == 0
         assert len(out.splitlines()) == rows + 1

@@ -429,11 +429,41 @@ def test_order_and_label_walk_once_and_scan_no_window(monkeypatch):
     monkeypatch.setattr(labeling_mod, "_window_violations", recording_scan)
     monkeypatch.setattr(cli_mod, "block_columns", recording_walk)
     monkeypatch.setattr(ordering_mod, "block_columns", recording_walk)
+    monkeypatch.setattr(labeling_mod, "block_columns", recording_walk)
     for command in ("order", "label"):
         scans.clear()
         walks.clear()
         assert main([command, "50x60x72", "-o", os.devnull]) == 0
         assert (len(scans), walks) == (0, [(50, 60, 72)]), command
+
+
+def _check_label_walk(sizes, chunk):
+    # the rows of label_walk's chunks are build_ordering's, in its order, and
+    # their labels the tight labels of that ordering, across every chunk seam
+    ordering = build_ordering(*sizes)
+    with mock.patch.object(labeling_mod, "_CSV_ROWS", chunk):
+        chunks = list(labeling_mod.label_walk(*sizes))
+    assert all(len(set(map(len, columns))) == 1 for columns in chunks)
+    assert [v for *columns, _ in chunks for v in zip(*columns)] == ordering
+    labels = [label for *_, chunk_labels in chunks for label in chunk_labels]
+    assert labels == oracles.greedy_labels(sizes, ordering)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=SIZES, chunk=st.sampled_from([1, 2, 3, 256]))
+def test_label_walk_is_the_greedy_of_build_ordering(sizes, chunk):
+    _check_label_walk(sizes, chunk)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 256])
+@pytest.mark.parametrize("sizes", [(2, 2, 7), (2, 3, 3), (3, 2, 2), (1, 2, 3, 3)])
+def test_label_walk_of_walks_that_are_not_graceful(sizes, chunk):
+    _check_label_walk(sizes, chunk)
+
+
+def test_label_walk_refuses_a_graph_too_large_at_the_call():
+    with pytest.raises(GraphError):
+        labeling_mod.label_walk(1000, 1000, 1001)
 
 
 def _count_next_label(monkeypatch):

@@ -150,14 +150,14 @@ class TestSolveExactValues:
         # no special case: the one diagonal orbit of K_n is the
         # lexicographic ordering, of span N, which meets the root bound rn >= N
         calls = 0
-        span_of_ordering = solver_mod.span_of_ordering
+        label_walk = solver_mod.label_walk
 
-        def counting_span(g, ordering):
+        def counting_walk(*sizes):
             nonlocal calls
             calls += 1
-            return span_of_ordering(g, ordering)
+            return label_walk(*sizes)
 
-        monkeypatch.setattr(solver_mod, "span_of_ordering", counting_span)
+        monkeypatch.setattr(solver_mod, "label_walk", counting_walk)
         g = HammingGraph(sizes)
         result = solve(g)
         assert result.optimal
@@ -309,14 +309,14 @@ class TestRootCertificate:
         # certified: one labeled ordering is the witness, however short the
         # budget
         calls = 0
-        span_of_ordering = solver_mod.span_of_ordering
+        label_walk = solver_mod.label_walk
 
-        def counting_span(g, ordering):
+        def counting_walk(*sizes):
             nonlocal calls
             calls += 1
-            return span_of_ordering(g, ordering)
+            return label_walk(*sizes)
 
-        monkeypatch.setattr(solver_mod, "span_of_ordering", counting_span)
+        monkeypatch.setattr(solver_mod, "label_walk", counting_walk)
         g = HammingGraph((3, 3, 3, 6, 7))
         result = solve(g, SolverConfig(time_budget=1e-6))
         assert calls == 1
@@ -341,6 +341,18 @@ class TestConstructionSpan:
         assert result.optimal
         assert result.rn == rn
         assert result.nodes_explored == nodes
+
+    @pytest.mark.parametrize(
+        "sizes", [(7,), (2, 3, 3), (3, 2, 2), (2, 2, 7), (1, 2, 3, 3), (4, 5, 6)]
+    )
+    def test_certified_witness_is_the_tight_labeling_of_build_ordering(self, sizes):
+        # the same labeling, in the same key order, as span_of_ordering gives
+        g = HammingGraph(sizes)
+        labeling, span = span_of_ordering(g, build_ordering(*sizes))
+        result = solve(g)
+        assert result.optimal
+        assert list(result.witness.items()) == list(labeling.items())
+        assert result.construction_span == result.rn == span
 
     def test_spent_time_budget_reports_it_as_rn(self):
         g = HammingGraph((2, 2, 2, 3))
