@@ -189,11 +189,11 @@ def cmd_label(args) -> int:
     sizes = g.factor_sizes
     radio_number_formula(*sizes)  # no closed form, no optimal labeling: exit 2
     # the labels increase along the walk, so its order is write_labeling_csv's
-    chunks = label_walk(*sizes)
+    blocks = label_walk(*sizes)
     row = f"{csv_vertex_template(len(sizes))},%s\n"
     with _open_output(args.output) as out:
         out.write("vertex,label\n")
-        for columns in chunks:
+        for columns in blocks:
             write_csv_rows(out, row, columns)
     span = columns[-1][-1]  # the last label
     if not args.certify:

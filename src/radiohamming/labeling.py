@@ -22,11 +22,12 @@ which bounds the lane width without reading the coordinates.
 
 check_graceful is the yes/no graceful test of any ordering: the window scan
 on the consecutive labels, stopped at the first flagged pair.  Violation
-objects are built only for validate's reports.  label_blocks is the one
-greedy loop, holding only the last diam - 1 labeled rows.  The greedy gives
-position i the label i for every i iff the ordering is graceful (by
-induction), so label_walk labels build_ordering's walk, and
-span_of_ordering any ordering, with the positions when it is graceful.
+objects are built only for validate's reports.  label_blocks, the one
+greedy loop, labels a block at a time and holds only the last diam - 1
+labeled rows between blocks.  The greedy gives position i the label i for
+every i iff the ordering is graceful (by induction), so label_walk labels
+build_ordering's walk, and span_of_ordering any ordering, with the
+positions when it is graceful.
 
 CSV rows are read and written a chunk at a time, so that C does the per-row
 work.  read_labeling_csv takes each chunk of lines whose every line is a
@@ -109,10 +110,9 @@ class GracefulReport:
 def validate(g: HammingGraph, labeling: RadioLabeling) -> ValidationReport:
     """Check the radio condition for every vertex pair.
 
-    The labeling must cover every vertex of g exactly once with positive
-    integer labels; anything else raises LabelingError.  Every violating
-    unordered pair is reported once, sorted by (smaller label, larger
-    label), which makes reports deterministic.
+    The labels must be positive integers, one for every vertex of g: a key
+    that is no vertex raises GraphError, any other breach LabelingError.
+    Each violating pair is reported once, by (smaller label, larger label).
     """
     if not isinstance(labeling, dict):
         raise LabelingError("labeling must map vertices to labels")
@@ -253,8 +253,7 @@ def span_of_ordering(g: HammingGraph, ordering: Ordering) -> tuple[RadioLabeling
     """
     if check_graceful(g, ordering).graceful:
         return dict(zip(ordering, range(1, len(ordering) + 1))), len(ordering)
-    chunks = label_blocks([list(zip(*ordering))], g.diameter)
-    labels = [label for *_, chunk_labels in chunks for label in chunk_labels]
+    *_, labels = next(label_blocks([list(zip(*ordering))], g.diameter))
     return dict(zip(ordering, labels)), labels[-1]
 
 
@@ -262,28 +261,26 @@ def label_blocks(
     blocks: Iterable[list[Sequence[int]]], diam: int
 ) -> Iterator[list[Sequence[int]]]:
     """The greedy (next_label) labels of an ordering given block by block
-    as columns (ordering.block_columns), in chunks of at most _CSV_ROWS
-    rows: yields each chunk's columns with its labels as one more column.
-    The labels increase along the ordering, so next_label reads at most the
-    last diam - 1 labeled rows, the only ones held from chunk to chunk."""
+    as columns (ordering.block_columns): yields each block's columns with
+    its labels, an array('q'), as one more column.  The labels increase
+    along the ordering, so next_label reads at most the last diam - 1
+    labeled rows, the only ones held from block to block."""
     labels: deque[int] = deque(maxlen=max(diam - 1, 1))
     placed: deque[Vertex] = deque(maxlen=labels.maxlen)
     for columns in blocks:
-        for start in range(0, len(columns[0]), _CSV_ROWS):
-            chunk = [column[start : start + _CSV_ROWS] for column in columns]
-            chunk_labels = []
-            for v in zip(*chunk):
-                label = next_label(labels, lambda j: hamming(placed[j], v), diam)
-                labels.append(label)
-                placed.append(v)
-                chunk_labels.append(label)
-            yield [*chunk, chunk_labels]
+        block_labels = array("q")
+        for v in zip(*columns):
+            label = next_label(labels, lambda j: hamming(placed[j], v), diam)
+            labels.append(label)
+            placed.append(v)
+            block_labels.append(label)
+        yield [*columns, block_labels]
 
 
 def label_walk(*sizes: int) -> Iterator[list[Sequence[int]]]:
-    """build_ordering(*sizes) as block_columns gives it, each chunk with its
-    tight labels as one more column: the positions where walk_is_graceful,
-    label_blocks' otherwise.  Raises GraphError at the call, before any chunk."""
+    """The N / L blocks of block_columns(*sizes), block k with its tight
+    labels as one more column: k L + 1 .. (k + 1) L where walk_is_graceful,
+    label_blocks' otherwise.  Raises GraphError at the call."""
     walk = block_columns(*sizes)
     if not walk_is_graceful(*sizes):
         return label_blocks(walk, HammingGraph(sizes).diameter)

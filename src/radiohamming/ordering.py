@@ -83,7 +83,7 @@ def _walk(sizes: tuple[int, ...]) -> Iterator[list[list[int]]]:
 
 def walk_is_graceful(*sizes: int) -> bool:
     """Whether f(x_i) = i is a radio labeling of build_ordering(*sizes),
-    from the sizes alone, in O(k^2 diam) for k factors.
+    from the sizes alone, in O(k^2 diam) for k factors; GraphError if no graph.
 
     Pairs fewer than diam labels apart inside a block pass iff, for each
     D < min(diam, L), more than diam - D sizes do not divide D.  Pairs D
@@ -93,7 +93,7 @@ def walk_is_graceful(*sizes: int) -> bool:
     stepped.  With blocks shorter than diam, the count at D = L is 1, for
     row i of two consecutive blocks, and fails as that pair does.
     """
-    diam = sum(n > 1 for n in sizes)
+    diam = HammingGraph(sizes).diameter
 
     def differing(d: int) -> int:
         return sum(d % n != 0 for n in sizes)

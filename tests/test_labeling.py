@@ -31,6 +31,7 @@ from radiohamming import (
     write_labeling_csv,
 )
 from radiohamming.cli import main
+from radiohamming.ordering import walk_is_graceful
 
 import oracles
 
@@ -437,28 +438,53 @@ def test_order_and_label_walk_once_and_scan_no_window(monkeypatch):
         assert (len(scans), walks) == (0, [(50, 60, 72)]), command
 
 
-def _check_label_walk(sizes, chunk):
-    # the rows of label_walk's chunks are build_ordering's, in its order, and
-    # their labels the tight labels of that ordering, across every chunk seam
+def _check_label_walk(sizes):
+    # the rows of label_walk's blocks are build_ordering's, in its order, and
+    # their labels the tight labels of that ordering, across every block seam
     ordering = build_ordering(*sizes)
-    with mock.patch.object(labeling_mod, "_CSV_ROWS", chunk):
-        chunks = list(labeling_mod.label_walk(*sizes))
-    assert all(len(set(map(len, columns))) == 1 for columns in chunks)
-    assert [v for *columns, _ in chunks for v in zip(*columns)] == ordering
-    labels = [label for *_, chunk_labels in chunks for label in chunk_labels]
+    blocks = list(labeling_mod.label_walk(*sizes))
+    assert all(len(set(map(len, columns))) == 1 for columns in blocks)
+    assert [v for *columns, _ in blocks for v in zip(*columns)] == ordering
+    labels = [label for *_, block_labels in blocks for label in block_labels]
     assert labels == oracles.greedy_labels(sizes, ordering)
+    return blocks
 
 
 @settings(max_examples=60, deadline=None)
-@given(sizes=SIZES, chunk=st.sampled_from([1, 2, 3, 256]))
-def test_label_walk_is_the_greedy_of_build_ordering(sizes, chunk):
-    _check_label_walk(sizes, chunk)
+@given(sizes=SIZES)
+def test_label_walk_is_the_greedy_of_build_ordering(sizes):
+    _check_label_walk(sizes)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 256])
 @pytest.mark.parametrize("sizes", [(2, 2, 7), (2, 3, 3), (3, 2, 2), (1, 2, 3, 3)])
 def test_label_walk_of_walks_that_are_not_graceful(sizes, chunk):
-    _check_label_walk(sizes, chunk)
+    # label's writer cuts each block's label array into chunks of _CSV_ROWS
+    # rows and writes csv.writer's text of the rows, across every chunk seam
+    blocks = _check_label_walk(sizes)
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(
+        (format_vertex(v), label)
+        for *columns, labels in blocks
+        for v, label in zip(zip(*columns), labels)
+    )
+    out = io.StringIO()
+    row = f"{labeling_mod.csv_vertex_template(len(sizes))},%s\n"
+    with mock.patch.object(labeling_mod, "_CSV_ROWS", chunk):
+        for columns in blocks:
+            labeling_mod.write_csv_rows(out, row, columns)
+    assert out.getvalue() == expected.getvalue()
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 300), (2, 2, 5000), (2, 3, 3), (3, 3, 6)], ids=str)
+def test_label_walk_yields_the_walks_blocks(sizes):
+    # item k is block k of the walk, whole, with its labels: greedy on the
+    # first three, the positions on 3x3x6
+    assert walk_is_graceful(*sizes) == (sizes == (3, 3, 6))
+    blocks = list(labeling_mod.label_walk(*sizes))
+    assert len(blocks) == math.prod(sizes) // math.lcm(*sizes)
+    assert [list(zip(*columns)) for *columns, _ in blocks] == list(build_blocks(*sizes))
+    assert all(len(labels) == math.lcm(*sizes) for *_, labels in blocks)
 
 
 def test_label_walk_refuses_a_graph_too_large_at_the_call():
@@ -503,6 +529,13 @@ def test_labeling_csv_roundtrip(tmp_path):
     blank = tmp_path / "blank.csv"
     blank.write_text('vertex,label\n"(1,1)",1\n\n"(2,2)",2\n')
     assert read_labeling_csv(str(blank)) == {(1, 1): 1, (2, 2): 2}
+
+
+def test_empty_labeling_csv_is_the_header_alone(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_labeling_csv(str(path), {})
+    assert path.read_text() == "vertex,label\n"
+    assert read_labeling_csv(str(path)) == {}
 
 
 @pytest.mark.parametrize(

@@ -309,3 +309,9 @@ def test_walk_is_graceful_reads_only_the_sizes():
     assert walk_is_graceful(1000, 1000, 1001)
     with pytest.raises(GraphError):
         build_blocks(1000, 1000, 1001)
+
+
+@pytest.mark.parametrize("sizes", [(0, 3), (2, -1), ()], ids=str)
+def test_walk_is_graceful_refuses_sizes_that_are_no_graph(sizes):
+    with pytest.raises(GraphError):
+        walk_is_graceful(*sizes)
