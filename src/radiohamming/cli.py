@@ -79,13 +79,13 @@ def _add_budget_args(parser: argparse.ArgumentParser) -> None:
         "--node-budget",
         type=_positive(int),
         default=SolverConfig.node_budget,
-        help="maximum search nodes before giving up",
+        help="branch-and-bound nodes; the run search and each climb-table entry stop at 200,000 apiece",
     )
     parser.add_argument(
         "--time-budget",
         type=_positive(float),
         default=SolverConfig.time_budget,
-        help="maximum search seconds before giving up",
+        help="search seconds; building the first incumbent and the self-check are not stopped by it",
     )
 
 
@@ -94,7 +94,7 @@ def _open_output(path: str | None):
     if path is None or path == "-":
         yield sys.stdout
     else:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             yield fh
 
 
@@ -106,8 +106,8 @@ def _print_json(payload: dict, out) -> None:
 def cmd_order(args) -> int:
     g, permutation = _sorted_graph(args.spec)
     sizes = g.factor_sizes
-    walk = block_columns(*sizes)  # refuses a graph too large before any output
-    graceful = walk_is_graceful(*sizes)
+    walk = block_columns(g)  # refuses a graph too large before any output
+    graceful = walk_is_graceful(g)
     if not graceful:
         print(f"warning: this ordering of {g} is a bijection but not graceful", file=sys.stderr)
     with _open_output(args.output) as out:
@@ -186,11 +186,10 @@ def cmd_solve(args) -> int:
 
 def cmd_label(args) -> int:
     g, _ = _sorted_graph(args.spec)
-    sizes = g.factor_sizes
-    radio_number_formula(*sizes)  # no closed form, no optimal labeling: exit 2
+    radio_number_formula(*g.factor_sizes)  # no closed form, no optimal labeling: exit 2
     # the labels increase along the walk, so its order is write_labeling_csv's
-    blocks = label_walk(*sizes)
-    row = f"{csv_vertex_template(len(sizes))},%s\n"
+    blocks = label_walk(g)
+    row = f"{csv_vertex_template(len(g.factor_sizes))},%s\n"
     with _open_output(args.output) as out:
         out.write("vertex,label\n")
         for columns in blocks:

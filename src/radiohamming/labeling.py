@@ -26,8 +26,8 @@ objects are built only for validate's reports.  label_blocks, the one
 greedy loop, labels a block at a time and holds only the last diam - 1
 labeled rows between blocks.  The greedy gives position i the label i for
 every i iff the ordering is graceful (by induction), so label_walk labels
-build_ordering's walk, and span_of_ordering any ordering, with the
-positions when it is graceful.
+the walk of the graph its caller holds, and span_of_ordering any ordering,
+with the positions when it is graceful.
 
 CSV rows are read and written a chunk at a time, so that C does the per-row
 work.  read_labeling_csv takes each chunk of lines whose every line is a
@@ -277,30 +277,30 @@ def label_blocks(
         yield [*columns, block_labels]
 
 
-def label_walk(*sizes: int) -> Iterator[list[Sequence[int]]]:
-    """The N / L blocks of block_columns(*sizes), block k with its tight
-    labels as one more column: k L + 1 .. (k + 1) L where walk_is_graceful,
+def label_walk(g: HammingGraph) -> Iterator[list[Sequence[int]]]:
+    """The N / L blocks of block_columns(g), block k with its tight labels
+    as one more column: k L + 1 .. (k + 1) L where walk_is_graceful(g),
     label_blocks' otherwise.  Raises GraphError at the call."""
-    walk = block_columns(*sizes)
-    if not walk_is_graceful(*sizes):
-        return label_blocks(walk, HammingGraph(sizes).diameter)
-    rows = math.lcm(*sizes)
+    walk = block_columns(g)
+    if not walk_is_graceful(g):
+        return label_blocks(walk, g.diameter)
+    rows = math.lcm(*g.factor_sizes)
     return ([*block, range(k * rows + 1, (k + 1) * rows + 1)] for k, block in enumerate(walk))
 
 
 def read_labeling_csv(source: Union[str, TextIO]) -> RadioLabeling:
     """Read a labeling from CSV with header "vertex,label".
 
-    Vertices use the "(i,j,k)" text form.  Raises LabelingError on any
-    malformed content; whether the labeling is total over a graph is checked
-    later by validate().
+    Vertices use the "(i,j,k)" text form, and a path is read as UTF-8 with
+    or without a byte-order mark.  Raises LabelingError on malformed content;
+    whether the labeling is total over a graph is checked by validate().
     """
     if isinstance(source, str):
-        with open(source, newline="") as fh:
+        with open(source, newline="", encoding="utf-8-sig") as fh:
             try:
                 return read_labeling_csv(fh)
             except UnicodeDecodeError as exc:
-                raise LabelingError(f"{source!r} is not {fh.encoding} text: {exc.reason}") from None
+                raise LabelingError(f"{source!r} is not utf-8 text: {exc.reason}") from None
     try:
         return _read_labeling_lines(iter(source))
     except csv.Error as exc:  # e.g. a field above csv.field_size_limit()
@@ -406,7 +406,7 @@ def write_labeling_csv(target: Union[str, TextIO], labeling: RadioLabeling) -> N
     """Write a labeling, its vertices of one dimension, as CSV rows sorted
     by (label, vertex)."""
     if isinstance(target, str):
-        with open(target, "w", newline="") as fh:
+        with open(target, "w", newline="", encoding="utf-8") as fh:
             write_labeling_csv(fh, labeling)
         return
     target.write("vertex,label\n")

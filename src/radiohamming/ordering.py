@@ -27,8 +27,8 @@ that takes the fastest step whose orbit is unplaced: for three factors,
 the paper's recurrence.
 
 The walk keeps each block as its k columns, each a rotation of the last
-block's.  block_columns yields them as they are, for labeling.label_walk and
-for writers of a chunk of rows at once, and build_blocks zips them into rows.
+block's.  block_columns(g) yields them as they are, for labeling.label_walk
+and for chunked writers, and build_blocks(*sizes) zips them into rows.
 """
 
 from __future__ import annotations
@@ -41,23 +41,22 @@ from typing import Iterator
 from .graphs import HammingGraph, Vertex, check_materializable
 
 
-def block_columns(*sizes: int) -> Iterator[list[list[int]]]:
-    """The N / L blocks in order, each as its k columns of L values, by the
-    orbit walk, in the caller's coordinates, one block at a time: O(L) rows
-    held, which saves little where L is near N (coprime sizes, or 24x25x26).
+def block_columns(g: HammingGraph) -> Iterator[list[list[int]]]:
+    """The N / L blocks of g in order, each as its k columns of L values, by
+    the orbit walk, in g's coordinates, one block at a time: O(L) rows held,
+    which saves little where L is near N (coprime sizes, or 24x25x26).
 
-    Raises GraphError at the call, before any block, for sizes that are no
-    graph and above graphs.MAX_MATERIALIZED_VERTICES vertices.  The blocks
-    are distinct orbits, a bijection onto the vertices by the index argument
-    of the module docstring.
+    Raises GraphError at the call above graphs.MAX_MATERIALIZED_VERTICES
+    vertices, before any block.  The blocks are distinct orbits, a bijection
+    onto the vertices by the index argument of the module docstring.
     """
-    check_materializable(HammingGraph(sizes))
-    return _walk(sizes)
+    check_materializable(g)
+    return _walk(g.factor_sizes)
 
 
 def build_blocks(*sizes: int) -> Iterator[list[Vertex]]:
-    """block_columns(*sizes) with each block as its L rows."""
-    return (list(zip(*columns)) for columns in block_columns(*sizes))
+    """block_columns(HammingGraph(sizes)) with each block as its L rows."""
+    return (list(zip(*columns)) for columns in block_columns(HammingGraph(sizes)))
 
 
 def _odometer(sizes: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -81,9 +80,9 @@ def _walk(sizes: tuple[int, ...]) -> Iterator[list[list[int]]]:
         yield list(columns)
 
 
-def walk_is_graceful(*sizes: int) -> bool:
-    """Whether f(x_i) = i is a radio labeling of build_ordering(*sizes),
-    from the sizes alone, in O(k^2 diam) for k factors; GraphError if no graph.
+def walk_is_graceful(g: HammingGraph) -> bool:
+    """Whether f(x_i) = i is a radio labeling of g's walk, from its sizes
+    alone, in O(k^2 diam) for k factors.
 
     Pairs fewer than diam labels apart inside a block pass iff, for each
     D < min(diam, L), more than diam - D sizes do not divide D.  Pairs D
@@ -93,7 +92,7 @@ def walk_is_graceful(*sizes: int) -> bool:
     stepped.  With blocks shorter than diam, the count at D = L is 1, for
     row i of two consecutive blocks, and fails as that pair does.
     """
-    diam = HammingGraph(sizes).diameter
+    sizes, diam = g.factor_sizes, g.diameter
 
     def differing(d: int) -> int:
         return sum(d % n != 0 for n in sizes)

@@ -144,14 +144,16 @@ def solve(g: HammingGraph, config: SolverConfig | None = None) -> SolveResult:
     space was exhausted under the pruning bound or an ordering met the root
     bound 1 + C(N); on budget exhaustion the incumbent is still a valid
     labeling, so rn is never under-reported, and lower_bound is the proven
-    root bound.
+    root bound.  node_budget caps the branch-and-bound nodes (nodes_explored);
+    the run search and each climb-table entry stop at _RUN_SEARCH_CAP nodes
+    apiece.  time_budget stops neither the first incumbent nor validate().
     """
     cfg = config or SolverConfig()
     started = time.perf_counter()
     n = g.vertex_count
     deadline = started + cfg.time_budget
     best_lab: RadioLabeling = {}
-    for *columns, labels in label_walk(*g.factor_sizes):
+    for *columns, labels in label_walk(g):
         best_lab.update(zip(zip(*columns), labels))
     bound = construction_span = labels[-1]
 

@@ -300,6 +300,16 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+        assert "is not utf-8 text" in err
+
+    def test_byte_order_mark_is_read_as_utf8(self, tmp_path, capsys):
+        # spreadsheet programs save CSV with a leading byte-order mark
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + GOLDEN_LABELING.read_bytes())
+        code, out, err = run_cli(["verify", "2x3x3", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert out == run_cli(["verify", "2x3x3", str(GOLDEN_LABELING)], capsys)[1]
+        assert read_labeling_csv(str(path)) == read_labeling_csv(str(GOLDEN_LABELING))
 
     def test_field_above_the_csv_limit_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "long.csv"
@@ -538,6 +548,19 @@ class TestLabel:
         labeling = read_labeling_csv(io.StringIO(out))
         assert validate(HammingGraph((2, 2)), labeling).span == 5
 
+    def test_label_of_unsorted_spec_verifies_against_the_sorted_spec(self, tmp_path, capsys):
+        # README's route: label writes the sorted spec's coordinates and
+        # names that spec on stderr, and verify accepts the file against it
+        path = tmp_path / "l.csv"
+        code, _, err = run_cli(["label", "3x2x2", "-o", str(path)], capsys)
+        assert code == 0
+        assert err == "note: factors sorted to 2x2x3 (isomorphic to 3x2x2)\n"
+        code, out, _ = run_cli(["verify", "2x2x3", str(path)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["valid"] is True
+        assert payload["span"] == 17
+
     def test_label_keeps_size_one_factors(self, tmp_path, capsys):
         path = tmp_path / "l.csv"
         code, _, _ = run_cli(["label", "1x2x3x3", "-o", str(path)], capsys)
@@ -625,10 +648,10 @@ class TestSweep:
         calls = 0
         block_columns = ordering_mod.block_columns
 
-        def counting_walk(*sizes):
+        def counting_walk(g):
             nonlocal calls
             calls += 1
-            return block_columns(*sizes)
+            return block_columns(g)
 
         monkeypatch.setattr(ordering_mod, "block_columns", counting_walk)
         monkeypatch.setattr(labeling_mod, "block_columns", counting_walk)

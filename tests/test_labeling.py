@@ -423,9 +423,9 @@ def test_order_and_label_walk_once_and_scan_no_window(monkeypatch):
         scans.append(1)
         return scan(*args)
 
-    def recording_walk(*sizes):
-        walks.append(sizes)
-        return walk(*sizes)
+    def recording_walk(g):
+        walks.append(g.factor_sizes)
+        return walk(g)
 
     monkeypatch.setattr(labeling_mod, "_window_violations", recording_scan)
     monkeypatch.setattr(cli_mod, "block_columns", recording_walk)
@@ -442,7 +442,7 @@ def _check_label_walk(sizes):
     # the rows of label_walk's blocks are build_ordering's, in its order, and
     # their labels the tight labels of that ordering, across every block seam
     ordering = build_ordering(*sizes)
-    blocks = list(labeling_mod.label_walk(*sizes))
+    blocks = list(labeling_mod.label_walk(HammingGraph(sizes)))
     assert all(len(set(map(len, columns))) == 1 for columns in blocks)
     assert [v for *columns, _ in blocks for v in zip(*columns)] == ordering
     labels = [label for *_, block_labels in blocks for label in block_labels]
@@ -480,8 +480,9 @@ def test_label_walk_of_walks_that_are_not_graceful(sizes, chunk):
 def test_label_walk_yields_the_walks_blocks(sizes):
     # item k is block k of the walk, whole, with its labels: greedy on the
     # first three, the positions on 3x3x6
-    assert walk_is_graceful(*sizes) == (sizes == (3, 3, 6))
-    blocks = list(labeling_mod.label_walk(*sizes))
+    g = HammingGraph(sizes)
+    assert walk_is_graceful(g) == (sizes == (3, 3, 6))
+    blocks = list(labeling_mod.label_walk(g))
     assert len(blocks) == math.prod(sizes) // math.lcm(*sizes)
     assert [list(zip(*columns)) for *columns, _ in blocks] == list(build_blocks(*sizes))
     assert all(len(labels) == math.lcm(*sizes) for *_, labels in blocks)
@@ -489,7 +490,7 @@ def test_label_walk_yields_the_walks_blocks(sizes):
 
 def test_label_walk_refuses_a_graph_too_large_at_the_call():
     with pytest.raises(GraphError):
-        labeling_mod.label_walk(1000, 1000, 1001)
+        labeling_mod.label_walk(HammingGraph((1000, 1000, 1001)))
 
 
 def _count_next_label(monkeypatch):

@@ -263,12 +263,13 @@ def test_walk_is_graceful_agrees_with_check_graceful():
                 continue
             g = HammingGraph(sizes)
             graceful[sizes] = check_graceful(g, build_ordering(*sizes)).graceful
-            assert walk_is_graceful(*sizes) == graceful[sizes], sizes
+            assert walk_is_graceful(g) == graceful[sizes], sizes
     assert (len(graceful), sum(graceful.values())) == (780, 595)
     # blocks shorter than the diameter, and one block
     for sizes in [(2,) * 5, (2,) * 6, (3,) * 5, (2, 2, 2, 2, 4), (5, 6, 7)]:
-        graceful = check_graceful(HammingGraph(sizes), build_ordering(*sizes)).graceful
-        assert walk_is_graceful(*sizes) == graceful == (sizes == (5, 6, 7)), sizes
+        g = HammingGraph(sizes)
+        graceful = check_graceful(g, build_ordering(*sizes)).graceful
+        assert walk_is_graceful(g) == graceful == (sizes == (5, 6, 7)), sizes
 
 
 def test_walk_of_2x3x3_fails_only_across_its_boundaries():
@@ -290,8 +291,8 @@ def test_walk_of_2x3x3_fails_only_across_its_boundaries():
     ]
     assert flagged[0] == (4, 6)  # (1,2,2) and (1,1,2)
     assert all(i // 6 != j // 6 and j - i == 2 for i, j in flagged)
-    assert not walk_is_graceful(*sizes)
-    assert walk_is_graceful(3, 3, 6)
+    assert not walk_is_graceful(HammingGraph(sizes))
+    assert walk_is_graceful(HammingGraph((3, 3, 6)))
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 5000])
@@ -300,18 +301,22 @@ def test_walk_of_2x2xn_fails_inside_its_blocks(n):
     # 2: distance 1, below the 3 + 1 - 2 = 2 that the radio condition asks
     block = next(build_blocks(2, 2, n))
     assert oracles.mismatch(block[0], block[2]) == 1
-    assert not walk_is_graceful(2, 2, n)
+    assert not walk_is_graceful(HammingGraph((2, 2, n)))
 
 
 def test_walk_is_graceful_reads_only_the_sizes():
     # graphs far too large to build
-    assert not walk_is_graceful(2, 2, 10**12)
-    assert walk_is_graceful(1000, 1000, 1001)
+    assert not walk_is_graceful(HammingGraph((2, 2, 10**12)))
+    assert walk_is_graceful(HammingGraph((1000, 1000, 1001)))
     with pytest.raises(GraphError):
         build_blocks(1000, 1000, 1001)
 
 
 @pytest.mark.parametrize("sizes", [(0, 3), (2, -1), ()], ids=str)
 def test_walk_is_graceful_refuses_sizes_that_are_no_graph(sizes):
+    # walk_is_graceful and block_columns take a graph, and HammingGraph
+    # refuses these sizes before either is reached, as build_blocks does
     with pytest.raises(GraphError):
-        walk_is_graceful(*sizes)
+        walk_is_graceful(HammingGraph(sizes))
+    with pytest.raises(GraphError):
+        build_blocks(*sizes)
