@@ -4,31 +4,33 @@ For K_{n1} x ... x K_{nk}, factors in any order and of size 1 too, each
 block is one orbit of the diagonal shift v -> v + (1, ..., 1): L = lcm(n1,
 ..., nk) rows, each row the previous one +1 cyclically in every coordinate,
 so a block is determined by its first row, its seed.  Block 1 is seeded at
-(1, ..., 1), and the walk from seed to seed is an odometer.  Its step
-coordinates, steps, are the factors of size >= 2 in descending size (a
-stable sort) without the smallest, n_min, which stays at 1; a size-1
-coordinate is constant.  Digit i, the fastest first, has the radix
-r_i = gcd(n_{steps[i]}, lcm(n_min, n_{steps[i+1]}, n_{steps[i+2]}, ...)),
-and each next seed is the previous one +1 in the coordinate of the digit
-that carries, the one that goes up while the faster ones wrap.
+(1, ..., 1), and the walk from seed to seed is an odometer.  Take the
+coordinates c_0, c_1, ... in descending size (ties by descending index):
+c_j has the radix r_j = gcd(n_{c_j}, lcm(n_{c_{j+1}}, n_{c_{j+2}}, ...)),
+1 for the last.  The odometer's digits, the fastest first, are the c_j of
+radix above 1, its steps, so the smallest factor and a size-1 coordinate
+stay at 1; each next seed is the previous one +1 in the coordinate of the
+digit that carries, the one that goes up while the faster ones wrap.
 
 Why this is a bijection: in the group Q of orbits, Z_{n1} x ... x Z_{nk}
-modulo (1, ..., 1), let Q_i be generated by the unit steps in steps[0],
-..., steps[i-1].  m e_{steps[i]} lies in Q_i iff m = t (mod n_{steps[i]})
-for a t that n_min, n_{steps[i+1]}, ... all divide, so r_i, the least such
-m > 0, is the index [Q_{i+1} : Q_i].  By induction on i, each run of
-r_0 ... r_i blocks that starts with digits 0..i at 0 lists one coset
-x + Q_{i+1}, each orbit once: its j-th run of the faster digits lists
-x + j e_{steps[i]} + Q_i, and these r_i cosets are distinct.  The unit
-steps and (1, ..., 1) span Q, so the prod r_i = N / L blocks list every
-orbit once.  A step in a faster digit would return to the coset just
-finished, and the carrying step enters a new one, so this is also the walk
-that takes the fastest step whose orbit is unplaced: for three factors,
-the paper's recurrence.
+modulo (1, ..., 1), let Q_j be generated by the unit steps in c_0, ...,
+c_{j-1}.  m e_{c_j} lies in Q_j iff m = t (mod n_{c_j}) for a t that
+n_{c_{j+1}}, n_{c_{j+2}}, ... all divide, so r_j, the least such m > 0, is
+the index [Q_{j+1} : Q_j], and a digit of radix 1 would never carry.  By
+induction on j, each run of r_0 ... r_j blocks that starts with digits
+0..j at 0 lists one coset x + Q_{j+1}, each orbit once: its i-th run of
+the faster digits lists x + i e_{c_j} + Q_j, and these r_j cosets are
+distinct.  The unit steps and (1, ..., 1) span Q, so the prod r_j = N / L
+blocks list every orbit once.  A step in a faster digit would return to
+the coset just finished, and the carrying step enters a new one, so this
+is also the walk that takes the fastest step whose orbit is unplaced: for
+three factors, the paper's recurrence.
 
 The walk keeps each block as its k columns, each a rotation of the last
 block's.  block_columns(g) yields them as they are, for labeling.label_walk
 and for chunked writers, and build_blocks(*sizes) zips them into rows.
+walk_is_graceful(g) tests from the sizes alone, on the difference of two
+rows' seeds, whether the labels 1..N along the walk are a radio labeling.
 """
 
 from __future__ import annotations
@@ -60,11 +62,13 @@ def build_blocks(*sizes: int) -> Iterator[list[Vertex]]:
 
 
 def _odometer(sizes: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """The walk's step coordinates, fastest digit first, and their radices."""
-    ascending = [c for c in sorted(range(len(sizes)), key=sizes.__getitem__) if sizes[c] > 1]
+    """The walk's step coordinates, fastest digit first, and their radices,
+    each above 1."""
+    ascending = sorted(range(len(sizes)), key=sizes.__getitem__)
     ordered = [sizes[c] for c in ascending]
     radices = list(map(math.gcd, ordered, accumulate(ordered, math.lcm, initial=1)))
-    return ascending[:0:-1], radices[:0:-1]
+    digits = [j for j in reversed(range(len(sizes))) if radices[j] > 1]
+    return [ascending[j] for j in digits], [radices[j] for j in digits]
 
 
 def _walk(sizes: tuple[int, ...]) -> Iterator[list[list[int]]]:
@@ -81,29 +85,18 @@ def _walk(sizes: tuple[int, ...]) -> Iterator[list[list[int]]]:
 
 
 def walk_is_graceful(g: HammingGraph) -> bool:
-    """Whether f(x_i) = i is a radio labeling of g's walk, from its sizes
-    alone, in O(k^2 diam) for k factors.
-
-    Pairs fewer than diam labels apart inside a block pass iff, for each
-    D < min(diam, L), more than diam - D sizes do not divide D.  Pairs D
-    labels apart across a step in coordinate c, with D < diam <= L, pass
-    iff more than diam - D of the x != c have n_x not dividing D, counting
-    c too when n_c does not divide D + 1.  With one block no coordinate is
-    stepped.  With blocks shorter than diam, the count at D = L is 1, for
-    row i of two consecutive blocks, and fails as that pair does.
+    """Whether f(x_i) = i is a radio labeling of g's walk, in O(k^2 diam)
+    for k factors from the sizes alone: rows D < diam labels apart whose
+    seeds differ by delta, 0 inside one block and e_c across a step in
+    coordinate c, differ in the x with n_x not dividing D + delta_x, and
+    pass iff more than diam - D do.  Blocks shorter than diam fail at
+    D = L with delta = 0, as row i of two consecutive blocks does.
     """
     sizes, diam = g.factor_sizes, g.diameter
-
-    def differing(d: int) -> int:
-        return sum(d % n != 0 for n in sizes)
-
-    if any(differing(d) <= diam - d for d in range(1, min(diam, math.lcm(*sizes)))):
-        return False
-    steps, radices = _odometer(sizes)
+    steps, _ = _odometer(sizes)
     return all(
-        differing(d) - (d % sizes[c] != 0) + ((d + 1) % sizes[c] != 0) > diam - d
-        for c, radix in zip(steps, radices)
-        if radix > 1
+        sum((d + (x == c)) % n != 0 for x, n in enumerate(sizes)) > diam - d
+        for c in [None, *steps]  # None: no coordinate stepped, delta = 0
         for d in range(1, diam)
     )
 

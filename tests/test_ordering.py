@@ -16,7 +16,7 @@ from radiohamming import (
     span_of_ordering,
     verify_bijection,
 )
-from radiohamming.ordering import walk_is_graceful
+from radiohamming.ordering import _odometer, walk_is_graceful
 
 import oracles
 
@@ -29,6 +29,15 @@ SMALL_TRIPLES = [
     for a in range(2, 7)
     for b in range(a, 7)
     for c in range(b, 7)
+]
+
+# every spec of 1-4 factors with sizes 1..5 and at most 1,000 vertices, and
+# every spec of 5 or 6 factors with sizes 1..3
+WALK_SPECS = [
+    sizes
+    for k, top in [(1, 5), (2, 5), (3, 5), (4, 5), (5, 3), (6, 3)]
+    for sizes in itertools.product(range(1, top + 1), repeat=k)
+    if math.prod(sizes) <= 1000
 ]
 
 
@@ -255,21 +264,29 @@ def test_orbit_walk_seeds_are_the_papers_up_to_12():
 
 
 def test_walk_is_graceful_agrees_with_check_graceful():
-    # every spec of 1-4 factors with sizes 1..5 and at most 1,000 vertices
     graceful = {}
-    for k in range(1, 5):
-        for sizes in itertools.product(range(1, 6), repeat=k):
-            if math.prod(sizes) > 1000:
-                continue
-            g = HammingGraph(sizes)
-            graceful[sizes] = check_graceful(g, build_ordering(*sizes)).graceful
-            assert walk_is_graceful(g) == graceful[sizes], sizes
-    assert (len(graceful), sum(graceful.values())) == (780, 595)
+    for sizes in WALK_SPECS:
+        g = HammingGraph(sizes)
+        graceful[sizes] = check_graceful(g, build_ordering(*sizes)).graceful
+        assert walk_is_graceful(g) == graceful[sizes], sizes
+    # 780 specs of 1-4 factors (595 graceful), 972 of 5 or 6 (129 graceful)
+    assert (len(graceful), sum(graceful.values())) == (1752, 724)
     # blocks shorter than the diameter, and one block
     for sizes in [(2,) * 5, (2,) * 6, (3,) * 5, (2, 2, 2, 2, 4), (5, 6, 7)]:
         g = HammingGraph(sizes)
         graceful = check_graceful(g, build_ordering(*sizes)).graceful
         assert walk_is_graceful(g) == graceful == (sizes == (5, 6, 7)), sizes
+
+
+def test_odometer_digits_all_carry():
+    # a digit of radix 1 would never carry, as its place equals the place
+    # of the digit before it, so the odometer lists none
+    for sizes in WALK_SPECS:
+        steps, radices = _odometer(sizes)
+        assert all(radix > 1 for radix in radices), sizes
+        assert len(set(steps)) == len(steps), sizes
+        assert all(sizes[c] >= 2 for c in steps), sizes
+        assert math.prod(radices) == math.prod(sizes) // math.lcm(*sizes), sizes
 
 
 def test_walk_of_2x3x3_fails_only_across_its_boundaries():
