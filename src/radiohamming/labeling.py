@@ -14,11 +14,13 @@ condition, so validation scans the label-sorted vertices for pairs one, two,
 with distinct labels that is O(N * diam) after the sort.  Vertices are
 checked in bulk (HammingGraph.are_vertices).  The one window scan is
 lane-packed: a chunk of 4,096 positions packs its labels and each
-coordinate column into one int, a 32- or 64-bit lane per position, and a
-few big-int operations test all its pairs at one offset.  Its partners end
-at its last label + diam(G), as no pair further apart can violate.  After
-the bulk check every coordinate is at most its factor size, so at most N,
-which bounds the lane width without reading the coordinates.
+coordinate column into one int, a 32-bit lane per position, and a few
+big-int operations test all its pairs at one offset; its partners end at
+its last label + diam(G).  A window whose labels reach 2^31 is rebased,
+each gap cut to diam(G): gaps below diam(G) stay exact, the others at
+least diam(G), and its labels below 4,096 * diam(G).  The bulk check keeps
+coordinates at most N >= 2^diam(G); both bounds stay below 2^31, as no
+graph of 2^31 vertices fits in memory.
 
 check_graceful is the yes/no graceful test of any ordering: the window scan
 on the consecutive labels, stopped at the first flagged pair.  Violation
@@ -155,27 +157,24 @@ def _window_violations(
         stop = min(start + _CHUNK, n)
         end = bisect_left(labels, labels[stop - 1] + diam, stop)
         window = labels[start:end]
-        if window[-1] >> 63:
-            # rebased, each consecutive gap cut to diam: the gaps below diam
-            # stay exact and the others stay at least diam
+        # rebased from 2^31, each gap cut to diam: every lane stays below its top bit
+        if window[-1] >> 31:
             window = list(accumulate(
                 map(min, map(sub, islice(window, 1, None), window), repeat(diam)), initial=0
             ))
-        # labels, gaps and coordinates (at most n) stay below the top bit
-        width, code = (32, "I") if max(n, window[-1]) >> 31 == 0 else (64, "Q")
         label_lanes, *columns = (
-            int.from_bytes(array(code, values).tobytes(), "little")
+            int.from_bytes(array("I", values).tobytes(), "little")
             for values in (window, *zip(*vertices[start:end]))
         )
         lanes = stop - start
-        ones = int.from_bytes(bytes(array(code, [1])) * lanes, "little")
-        high = ones << (width - 1)
+        ones = int.from_bytes(bytes(array("I", [1])) * lanes, "little")
+        high = ones << 31
         low = high - ones
-        at_least_diam = ones * ((1 << (width - 1)) - diam)
+        at_least_diam = ones * ((1 << 31) - diam)
         for delta in range(1, len(window)):
-            shift = width * delta
+            shift = 32 * delta
             # lanes whose partner is past the window borrow, upwards only
-            tops = high >> width * max(0, lanes + delta - len(window))
+            tops = high >> 32 * max(0, lanes + delta - len(window))
             # a lane's top bit is set iff its gap is at least diam
             raised = (label_lanes >> shift) - label_lanes + at_least_diam
             if raised & tops == tops:
@@ -187,10 +186,10 @@ def _window_violations(
             for column in columns:
                 differ += (((column >> shift) ^ column) + low) & high
             # the top bit is now clear iff gap + distance <= diam
-            sums = (raised + (differ >> (width - 1)) - ones) & tops
+            sums = (raised + (differ >> 31) - ones) & tops
             if sums != tops:
-                flags = ((sums ^ tops) >> (width - 1)).to_bytes(lanes * width // 8, "little")
-                for i in compress(count(start), memoryview(flags).cast(code)):
+                flags = ((sums ^ tops) >> 31).to_bytes(lanes * 4, "little")
+                for i in compress(count(start), memoryview(flags).cast("I")):
                     yield i, i + delta
 
 
@@ -308,9 +307,9 @@ def read_labeling_csv(source: Union[str, TextIO]) -> RadioLabeling:
 
 
 def _read_labeling_lines(lines: Iterator[str]) -> RadioLabeling:
-    """_read_labeling_rows(csv.reader(lines)), a chunk of _CSV_ROWS lines at a
-    time while every line of a chunk is a canonical row; from the first
-    chunk that is not, the csv reader takes the rest of the lines."""
+    """The labeling that the csv reader reads from lines, a chunk of
+    _CSV_ROWS lines at a time while every line of a chunk is a canonical
+    row; from the first chunk that is not, the csv reader takes the rest."""
     _read_header(csv.reader(lines))
     labeling: RadioLabeling = {}
     while chunk := list(islice(lines, _CSV_ROWS)):
@@ -348,14 +347,6 @@ def _canonical_rows(chunk: list[str]) -> RadioLabeling | None:
     step = dimension + 1
     vertices = zip(*(values[c::step] for c in range(dimension)))
     return dict(zip(vertices, values[dimension::step]))
-
-
-def _read_labeling_rows(reader) -> RadioLabeling:
-    """The labeling of the rows of a csv reader, one row at a time: the
-    reference for read_labeling_csv and the reader of every row that is not
-    canonical."""
-    _read_header(reader)
-    return _add_rows(reader, {})
 
 
 def _read_header(reader) -> None:

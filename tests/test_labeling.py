@@ -7,6 +7,7 @@ import math
 import operator
 import os
 import tracemalloc
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -329,7 +330,8 @@ def _report_rows(report):
     return [(v.u, v.v, v.required_gap, v.actual_gap) for v in report.violations]
 
 
-# label offsets below, at and above the 32- and 64-bit lane limits
+# label offsets around 2^31, where the window scan starts to rebase, and
+# around 2^63 and 2^64
 LABEL_BASES = [0, 2**31 - 9, 2**32, 2**63 - 9, 2**64, 10**20]
 
 
@@ -358,7 +360,7 @@ def test_validate_matches_the_violating_pairs(sizes, chunk, base, data):
     assert report.span == max(labeling.values())
 
 
-@pytest.mark.parametrize("base", [0, 2**64])
+@pytest.mark.parametrize("base", [0, 3 * 10**9, 2**64])
 def test_validate_and_check_graceful_across_a_full_chunk_seam(base):
     g = HammingGraph((2, 2, 1100))
     ordering = build_ordering(2, 2, 1100)
@@ -367,6 +369,25 @@ def test_validate_and_check_graceful_across_a_full_chunk_seam(base):
     expected = oracles.violating_pairs((2, 2, 1100), labeling)
     assert _report_rows(validate(g, labeling)) == expected
     assert expected and not check_graceful(g, ordering).graceful
+
+
+@pytest.mark.parametrize("base", [2**31 - 9, 2**32, 2**63 - 9])
+def test_window_scan_packs_32_bit_lanes(base):
+    # labels from 2^31 are rebased rather than packed in wider lanes
+    sizes = (2, 3, 3)
+    g = HammingGraph(sizes)
+    labeling = {v: base + i for i, v in enumerate(g.vertices(), 1)}
+    labeling[(1, 2, 2)] += 2**31
+    codes = []
+
+    def recording_array(code, *args):
+        codes.append(code)
+        return array(code, *args)
+
+    with mock.patch.object(labeling_mod, "array", recording_array):
+        report = validate(g, labeling)
+    assert set(codes) == {"I"}
+    assert _report_rows(report) == oracles.violating_pairs(sizes, labeling)
 
 
 def test_verify_reports_labels_beyond_64_bits(tmp_path, capsys):
@@ -641,7 +662,9 @@ def _read_outcome(read, text: str, newline: str):
 
 def _row_by_row(source):
     try:
-        return labeling_mod._read_labeling_rows(csv.reader(source))
+        reader = csv.reader(source)
+        labeling_mod._read_header(reader)
+        return labeling_mod._add_rows(reader, {})
     except csv.Error as exc:
         raise LabelingError(f"malformed labeling CSV: {exc}") from None
 
