@@ -24,12 +24,12 @@ graph of 2^31 vertices fits in memory.
 
 check_graceful is the yes/no graceful test of any ordering: the window scan
 on the consecutive labels, stopped at the first flagged pair.  Violation
-objects are built only for validate's reports.  label_blocks, the one
-greedy loop, labels a block at a time and holds only the last diam - 1
-labeled rows between blocks.  The greedy gives position i the label i for
-every i iff the ordering is graceful (by induction), so label_walk labels
-the walk of the graph its caller holds, and span_of_ordering any ordering,
-with the positions when it is graceful.
+objects are built only for validate's reports.  greedy_labeler, the one
+greedy loop, labels an ordering a run of rows at a time and holds only the
+last diam - 1 labeled rows between runs.  The greedy gives position i the
+label i for every i iff the ordering is graceful (by induction), so
+label_walk labels the walk of the graph its caller holds, a block per run,
+and span_of_ordering any ordering, with the positions when it is graceful.
 
 CSV rows are read and written a chunk at a time, so that C does the per-row
 work.  read_labeling_csv takes each chunk of lines whose every line is a
@@ -250,39 +250,39 @@ def span_of_ordering(g: HammingGraph, ordering: Ordering) -> tuple[RadioLabeling
     Raises LabelingError if the ordering is not a bijection onto V(g).
     Returns (labeling, span).
     """
-    if check_graceful(g, ordering).graceful:
-        return dict(zip(ordering, range(1, len(ordering) + 1))), len(ordering)
-    *_, labels = next(label_blocks([list(zip(*ordering))], g.diameter))
+    labels: Sequence[int] = range(1, len(ordering) + 1)
+    if not check_graceful(g, ordering).graceful:
+        labels = greedy_labeler(g.diameter)(ordering)
     return dict(zip(ordering, labels)), labels[-1]
 
 
-def label_blocks(
-    blocks: Iterable[list[Sequence[int]]], diam: int
-) -> Iterator[list[Sequence[int]]]:
-    """The greedy (next_label) labels of an ordering given block by block
-    as columns (ordering.block_columns): yields each block's columns with
-    its labels, an array('q'), as one more column.  The labels increase
-    along the ordering, so next_label reads at most the last diam - 1
-    labeled rows, the only ones held from block to block."""
+def greedy_labeler(diam: int) -> Callable[[Iterable[Vertex]], array]:
+    """The greedy (next_label) of an ordering in runs of rows: each call
+    labels the next run and returns its labels, one array('q').  The labels
+    increase, so it keeps only the last diam - 1 rows, all next_label reads."""
     labels: deque[int] = deque(maxlen=max(diam - 1, 1))
     placed: deque[Vertex] = deque(maxlen=labels.maxlen)
-    for columns in blocks:
-        block_labels = array("q")
-        for v in zip(*columns):
+
+    def label_run(rows: Iterable[Vertex]) -> array:
+        run = array("q")
+        for v in rows:
             label = next_label(labels, lambda j: hamming(placed[j], v), diam)
             labels.append(label)
             placed.append(v)
-            block_labels.append(label)
-        yield [*columns, block_labels]
+            run.append(label)
+        return run
+
+    return label_run
 
 
 def label_walk(g: HammingGraph) -> Iterator[list[Sequence[int]]]:
     """The N / L blocks of block_columns(g), block k with its tight labels
     as one more column: k L + 1 .. (k + 1) L where walk_is_graceful(g),
-    label_blocks' otherwise.  Raises GraphError at the call."""
+    otherwise greedy_labeler's, a block per run.  Raises GraphError at the call."""
     walk = block_columns(g)
     if not walk_is_graceful(g):
-        return label_blocks(walk, g.diameter)
+        label = greedy_labeler(g.diameter)
+        return ([*block, label(zip(*block))] for block in walk)
     rows = math.lcm(*g.factor_sizes)
     return ([*block, range(k * rows + 1, (k + 1) * rows + 1)] for k, block in enumerate(walk))
 

@@ -514,6 +514,48 @@ def test_label_walk_refuses_a_graph_too_large_at_the_call():
         labeling_mod.label_walk(HammingGraph((1000, 1000, 1001)))
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [(2, 2, 2), (2, 2, 2, 2), (2, 2, 7), (2, 3, 3), (1, 2, 3, 3), (2, 2, 3, 3), (3, 3, 4, 4)],
+    ids=str,
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_greedy_labeler_carries_its_rows_across_runs(sizes, data):
+    # the labels of runs cut anywhere, empty runs, block seams and runs
+    # shorter than diam - 1 included, are those of one run over all rows
+    g = HammingGraph(sizes)
+    assert not walk_is_graceful(g)
+    ordering = build_ordering(*sizes)
+    expected = oracles.greedy_labels(sizes, ordering)
+    assert list(labeling_mod.greedy_labeler(g.diameter)(ordering)) == expected
+    n, rows = len(ordering), math.lcm(*sizes)
+    cuts = data.draw(st.lists(st.integers(0, n) | st.sampled_from(range(0, n + 1, rows))))
+    label = labeling_mod.greedy_labeler(g.diameter)
+    bounds = [0, *sorted(cuts), n]
+    runs = [label(ordering[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert all(isinstance(run, array) and run.typecode == "q" for run in runs)
+    assert [x for run in runs for x in run] == expected
+
+
+def test_label_walk_holds_one_block_of_the_greedy():
+    # 2x2x2x2x2000: 16 blocks of 2,000 rows, not graceful; labeling them all
+    # peaks near labeling the first, so no block is held past its turn
+    g = HammingGraph((2, 2, 2, 2, 2000))
+    assert not walk_is_graceful(g)
+
+    def peak(consume):
+        tracemalloc.start()
+        try:
+            consume(labeling_mod.label_walk(g))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    first = peak(next)
+    assert peak(lambda blocks: sum(1 for _ in blocks)) < 1.4 * first
+
+
 def _count_next_label(monkeypatch):
     calls = []
     next_label = labeling_mod.next_label
