@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from contextlib import contextmanager
 
@@ -113,7 +112,7 @@ def cmd_order(args) -> int:
     with _open_output(args.output) as out:
         if args.format == "json":
             vertex_text = vertex_template(len(sizes)).__mod__
-            blocks = [list(map(vertex_text, zip(*columns))) for columns in walk]
+            blocks = [list(map(vertex_text, zip(*columns))) for *columns, _ in walk]
             payload = {
                 "spec": args.spec,
                 "sorted_spec": str(g),
@@ -130,11 +129,10 @@ def cmd_order(args) -> int:
         else:
             out.write("position,vertex\n")
             row = f"%s,{csv_vertex_template(len(sizes))}\n"
-            rows = math.lcm(*sizes)  # in every block
-            for k, columns in enumerate(walk):
+            for k, (*columns, positions) in enumerate(walk):
                 if args.blocks and k:
                     out.write(f"# block {k + 1}\n")
-                write_csv_rows(out, row, [range(k * rows + 1, (k + 1) * rows + 1), *columns])
+                write_csv_rows(out, row, [positions, *columns])
     return EXIT_OK
 
 

@@ -28,8 +28,9 @@ objects are built only for validate's reports.  greedy_labeler, the one
 greedy loop, labels an ordering a run of rows at a time and holds only the
 last diam - 1 labeled rows between runs.  The greedy gives position i the
 label i for every i iff the ordering is graceful (by induction), so
-label_walk labels the walk of the graph its caller holds, a block per run,
-and span_of_ordering any ordering, with the positions when it is graceful.
+label_walk returns a graceful walk as it is, its positions the labels, and
+labels any other a block per run; span_of_ordering labels any ordering,
+with the positions when it is graceful.
 
 CSV rows are read and written a chunk at a time, so that C does the per-row
 work.  read_labeling_csv takes each chunk of lines whose every line is a
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import re
 from array import array
 from bisect import bisect_left
@@ -276,15 +276,14 @@ def greedy_labeler(diam: int) -> Callable[[Iterable[Vertex]], array]:
 
 
 def label_walk(g: HammingGraph) -> Iterator[list[Sequence[int]]]:
-    """The N / L blocks of block_columns(g), block k with its tight labels
-    as one more column: k L + 1 .. (k + 1) L where walk_is_graceful(g),
-    otherwise greedy_labeler's, a block per run.  Raises GraphError at the call."""
+    """block_columns(g) where walk_is_graceful(g), its positions the tight
+    labels; otherwise its blocks with greedy_labeler's labels in place of
+    the positions, a block per run.  Raises GraphError at the call."""
     walk = block_columns(g)
-    if not walk_is_graceful(g):
-        label = greedy_labeler(g.diameter)
-        return ([*block, label(zip(*block))] for block in walk)
-    rows = math.lcm(*g.factor_sizes)
-    return ([*block, range(k * rows + 1, (k + 1) * rows + 1)] for k, block in enumerate(walk))
+    if walk_is_graceful(g):
+        return walk
+    label = greedy_labeler(g.diameter)
+    return ([*block, label(zip(*block))] for *block, _ in walk)
 
 
 def read_labeling_csv(source: Union[str, TextIO]) -> RadioLabeling:

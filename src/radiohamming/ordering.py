@@ -27,8 +27,8 @@ is also the walk that takes the fastest step whose orbit is unplaced: for
 three factors, the paper's recurrence.
 
 The walk keeps each block as its k columns, each a rotation of the last
-block's.  block_columns(g) yields them as they are, for labeling.label_walk
-and for chunked writers, and build_blocks(*sizes) zips them into rows.
+block's, and its positions.  block_columns(g) yields them as they are for
+label_walk and chunked writers; build_blocks(*sizes) zips the k into rows.
 walk_is_graceful(g) tests from the sizes alone, on the difference of two
 rows' seeds, whether the labels 1..N along the walk are a radio labeling.
 """
@@ -38,15 +38,15 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 from operator import mul
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import HammingGraph, Vertex, check_materializable
 
 
-def block_columns(g: HammingGraph) -> Iterator[list[list[int]]]:
-    """The N / L blocks of g in order, each as its k columns of L values, by
-    the orbit walk, in g's coordinates, one block at a time: O(L) rows held,
-    which saves little where L is near N (coprime sizes, or 24x25x26).
+def block_columns(g: HammingGraph) -> Iterator[list[Sequence[int]]]:
+    """The N / L blocks of g by the orbit walk, one at a time, block b as its
+    k columns of L values in g's coordinates and its positions b L + 1 ..
+    (b + 1) L: O(L) rows held, little saved where L is near N (24x25x26).
 
     Raises GraphError at the call above graphs.MAX_MATERIALIZED_VERTICES
     vertices, before any block.  The blocks are distinct orbits, a bijection
@@ -57,8 +57,8 @@ def block_columns(g: HammingGraph) -> Iterator[list[list[int]]]:
 
 
 def build_blocks(*sizes: int) -> Iterator[list[Vertex]]:
-    """block_columns(HammingGraph(sizes)) with each block as its L rows."""
-    return (list(zip(*columns)) for columns in block_columns(HammingGraph(sizes)))
+    """block_columns(HammingGraph(sizes)), each block's k columns as rows."""
+    return (list(zip(*columns)) for *columns, _ in block_columns(HammingGraph(sizes)))
 
 
 def _odometer(sizes: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -71,17 +71,17 @@ def _odometer(sizes: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return [ascending[j] for j in digits], [radices[j] for j in digits]
 
 
-def _walk(sizes: tuple[int, ...]) -> Iterator[list[list[int]]]:
+def _walk(sizes: tuple[int, ...]) -> Iterator[list[Sequence[int]]]:
     rows = math.lcm(*sizes)
     columns = [[r % n + 1 for r in range(rows)] for n in sizes]
     steps, radices = _odometer(sizes)
     places = list(accumulate(radices, mul))
-    yield list(columns)
-    for b in range(1, math.prod(radices)):
-        c = next(c for c, place in zip(steps, places) if b % place)
-        # n_c divides L, so +1 on the column's values rotates it by one row
-        columns[c] = columns[c][1:] + columns[c][:1]
-        yield list(columns)
+    for b in range(math.prod(radices)):
+        if b:
+            c = next(c for c, place in zip(steps, places) if b % place)
+            # n_c divides L, so +1 on the column's values rotates it by one row
+            columns[c] = columns[c][1:] + columns[c][:1]
+        yield [*columns, range(b * rows + 1, (b + 1) * rows + 1)]
 
 
 def walk_is_graceful(g: HammingGraph) -> bool:

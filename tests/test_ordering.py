@@ -16,7 +16,8 @@ from radiohamming import (
     span_of_ordering,
     verify_bijection,
 )
-from radiohamming.ordering import _odometer, walk_is_graceful
+from radiohamming.labeling import label_walk
+from radiohamming.ordering import _odometer, block_columns, walk_is_graceful
 
 import oracles
 
@@ -276,6 +277,23 @@ def test_walk_is_graceful_agrees_with_check_graceful():
         g = HammingGraph(sizes)
         graceful = check_graceful(g, build_ordering(*sizes)).graceful
         assert walk_is_graceful(g) == graceful == (sizes == (5, 6, 7)), sizes
+
+
+def test_each_block_of_the_walk_ends_with_its_positions():
+    # block k ends with positions k L + 1 .. (k + 1) L, so the walk numbers
+    # its rows 1..N; its other columns are build_blocks' rows, and a
+    # graceful walk is its own tight labeling
+    for sizes in [*WALK_SPECS, (3, 3, 6), (6, 5, 7), (2, 2, 300)]:
+        g, rows = HammingGraph(sizes), math.lcm(*sizes)
+        blocks = list(block_columns(g))
+        positions = [list(block[-1]) for block in blocks]
+        assert positions == [
+            list(range(k * rows + 1, (k + 1) * rows + 1)) for k in range(len(blocks))
+        ], sizes
+        assert sum(positions, []) == list(range(1, g.vertex_count + 1)), sizes
+        assert [list(zip(*block[:-1])) for block in blocks] == list(build_blocks(*sizes)), sizes
+        if walk_is_graceful(g):
+            assert list(label_walk(g)) == blocks, sizes
 
 
 def test_odometer_digits_all_carry():
