@@ -22,8 +22,7 @@ from .labeling import (
     LabelingError,
     csv_vertex_template,
     label_walk,
-    read_labeling_csv,
-    validate,
+    verify_labeling_csv,
     write_csv_rows,
     write_labeling_csv,
 )
@@ -137,9 +136,7 @@ def cmd_order(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = parse_graph(args.spec)
-    labeling = read_labeling_csv(args.labeling)
-    report = validate(g, labeling)
+    report = verify_labeling_csv(parse_graph(args.spec), args.labeling)
     _print_json(report.to_json(), sys.stdout)
     return EXIT_OK if report.valid else EXIT_SEMANTIC
 

@@ -38,19 +38,26 @@ canonical row "(d,...,d)",d in one regex match and one JSON array; from the
 first chunk that is not, or that repeats a vertex, the csv reader reads the
 rest row by row, so its dict, key order and errors are those of the csv
 reader alone.  write_csv_rows writes a chunk of rows with one %-format.
+verify_labeling_csv, the check of a labeling file, keeps canonical rows as
+one int each, label * N + the vertex's mixed-radix index, whose sort is
+validate's (label, vertex) order; the window scan reads the vertices back
+from one array per coordinate.  A file that is not canonical throughout,
+a file that ends in an error, and a pipe are read by read_labeling_csv
+and validated, so their reports and errors are those two functions'.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import sub
+from operator import add, floordiv, mod, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
 
 from .graphs import GraphError, HammingGraph, Vertex, are_ints, format_vertex, hamming
@@ -131,7 +138,12 @@ def validate(g: HammingGraph, labeling: RadioLabeling) -> ValidationReport:
         )
 
     labels, vertices = zip(*sorted(zip(labeling.values(), labeling)))
-    diam = g.diameter
+    return _report(vertices, labels, g.diameter)
+
+
+def _report(vertices: Sequence[Vertex], labels: Sequence[int], diam: int) -> ValidationReport:
+    """validate's report on the vertices of a labeling sorted by (label,
+    vertex), with their labels."""
     # position order is (smaller label, vertex, larger label, vertex) order,
     # because the vertices are sorted by (label, vertex)
     violations = []
@@ -312,17 +324,19 @@ def _read_labeling_lines(lines: Iterator[str]) -> RadioLabeling:
     _read_header(csv.reader(lines))
     labeling: RadioLabeling = {}
     while chunk := list(islice(lines, _CSV_ROWS)):
-        rows = _canonical_rows(chunk)
-        if rows is None or len(rows) < len(chunk) or not labeling.keys().isdisjoint(rows):
+        columns = _canonical_columns(chunk)
+        rows = {} if columns is None else dict(zip(zip(*columns[:-1]), columns[-1]))
+        if len(rows) < len(chunk) or not labeling.keys().isdisjoint(rows):
             return _add_rows(csv.reader(chain(chunk, lines)), labeling)
         labeling.update(rows)
     return labeling
 
 
-def _canonical_rows(chunk: list[str]) -> RadioLabeling | None:
-    """The rows of chunk as a dict, if every line is a row "(d,...,d)",d of
-    one dimension, in ASCII digits without leading zeros, ended by an
-    optional CR and a newline, or the end of the text; None otherwise.
+def _canonical_columns(chunk: list[str]) -> list[list[int]] | None:
+    """The columns of chunk's rows, its coordinates and then its labels, if
+    every line is a row "(d,...,d)",d of one dimension, in ASCII digits
+    without leading zeros, ended by an optional CR and a newline, or the
+    end of the text; None otherwise.
 
     Such rows are what the csv reader would make of them, parsed in bulk:
     one regex match for the chunk and one JSON array for its numbers.  The
@@ -343,9 +357,7 @@ def _canonical_rows(chunk: list[str]) -> RadioLabeling | None:
         values = json.loads(f"[{numbers.rstrip(',')}]")
     except ValueError:  # a leading zero, or more digits than int() takes
         return None
-    step = dimension + 1
-    vertices = zip(*(values[c::step] for c in range(dimension)))
-    return dict(zip(vertices, values[dimension::step]))
+    return [values[c :: dimension + 1] for c in range(dimension + 1)]
 
 
 def _read_header(reader) -> None:
@@ -375,6 +387,87 @@ def _add_rows(reader, labeling: RadioLabeling) -> RadioLabeling:
             raise LabelingError(f"vertex {format_vertex(vertex)} labeled twice")
         labeling[vertex] = label
     return labeling
+
+
+def verify_labeling_csv(g: HammingGraph, path: str) -> ValidationReport:
+    """validate(g, read_labeling_csv(path)), its report and its errors,
+    holding one int per row where it can.
+
+    A regular file of canonical chunks (_canonical_columns) that labels
+    every vertex of g once, with positive labels, is read as one key per
+    row, label * N + the vertex's mixed-radix index, its first coordinate
+    most significant: sorted, the keys are validate's (label, vertex)
+    order.  Any other file, and so every file that ends in an error, is
+    read from its first line by read_labeling_csv and validated; a pipe is
+    read by them alone, as it cannot be read twice.
+    """
+    report = _verify_canonical(g, path) if os.path.isfile(path) else None
+    return validate(g, read_labeling_csv(path)) if report is None else report
+
+
+def _verify_canonical(g: HammingGraph, path: str) -> ValidationReport | None:
+    sizes, n = g.factor_sizes, g.vertex_count
+    offset = 0  # what coordinates from 1, not 0, add to a key
+    for size in sizes:
+        offset = offset * size + 1
+    keys: list[int] = []
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            lines = iter(fh)
+            _read_header(csv.reader(lines))
+            while chunk := list(islice(lines, _CSV_ROWS)):
+                columns = _canonical_columns(chunk)
+                if columns is None or len(columns) != len(sizes) + 1:
+                    return None
+                *coordinates, labels = columns
+                if min(labels) < 1 or not all(
+                    min(column) >= 1 and max(column) <= size
+                    for column, size in zip(coordinates, sizes)
+                ):
+                    return None
+                chunk_keys = labels  # the leading digits, then Horner's rule
+                for column, size in zip(coordinates, sizes):
+                    chunk_keys = map(add, map(mul, chunk_keys, repeat(size)), column)
+                keys.extend(map(sub, chunk_keys, repeat(offset)))
+                if len(keys) > n:  # a repeated vertex
+                    return None
+    except (LabelingError, UnicodeDecodeError, csv.Error):
+        return None
+    if len(keys) < n:
+        return None
+    seen = bytearray(n)
+    for index in map(mod, keys, repeat(n)):
+        seen[index] = 1
+    if 0 in seen:  # n rows leave a vertex unseen iff they repeat one
+        return None
+    keys.sort()
+    try:
+        labels = array("q", map(floordiv, keys, repeat(n)))
+    except OverflowError:  # labels of 2^63 or more stay Python ints
+        labels = [key // n for key in keys]
+    columns, weight = [], n
+    for size in sizes:
+        weight //= size  # of this coordinate in the index
+        digits = map(mod, map(floordiv, keys, repeat(weight)), repeat(size))
+        columns.append(array("I", map(add, digits, repeat(1))))
+    del keys  # before the window scan: the arrays hold every row
+    return _report(_ColumnRows(columns), labels, g.diameter)
+
+
+class _ColumnRows:
+    """The vertices of coordinate columns, each made when it is read: an
+    index gives one vertex, a slice a list of them."""
+
+    def __init__(self, columns: list[array]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(zip(*(column[i] for column in self.columns)))
+        return tuple(column[i] for column in self.columns)
 
 
 def csv_vertex_template(dimension: int) -> str:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -328,11 +329,176 @@ class TestVerify:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_is_read_once(self, capsys):
+        # rows the csv reader parses, which a regular file would be read
+        # twice for
+        read_end, write_end = os.pipe()
+        os.write(write_end, b'vertex,label\n"( 1, 1 )",1\n"(2,2)",2\n"(2,1)",4\n"(1,2)",5\n')
+        os.close(write_end)
+        try:
+            code, out, err = run_cli(["verify", "2x2", f"/dev/fd/{read_end}"], capsys)
+        finally:
+            os.close(read_end)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["span"] == 5
+
     def test_partial_labeling_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "partial.csv"
         path.write_text('vertex,label\n"(1,1,1)",1\n')
         code, _, err = run_cli(["verify", "2x3x3", str(path)], capsys)
         assert code == 2
+
+
+def run_verify(spec, path):
+    """verify's exit code, stdout and stderr, outside pytest's capture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", spec, str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def golden_rows():
+    return GOLDEN_LABELING.read_text().splitlines(keepends=True)[1:]
+
+
+def walk_rows(sizes):
+    labeling, _ = span_of_ordering(HammingGraph(sizes), build_ordering(*sizes))
+    return [f'"{format_vertex(v)}",{label}\n' for v, label in labeling.items()]
+
+
+def labeling_text(rows, replace=(), header="vertex,label\n"):
+    """The header and rows, with row i replaced by line for each (i, line)
+    in replace."""
+    rows = list(rows)
+    for i, line in replace:
+        rows[i] = line
+    return header + "".join(rows)
+
+
+def big_labels(*offsets):
+    """Rows of K_2 x K_2 labeled 10^20 plus the offsets, above 2^63."""
+    vertices = ["(1,1)", "(2,2)", "(2,1)", "(1,2)"]
+    return [f'"{v}",{10**20 + offset}\n' for v, offset in zip(vertices, offsets)]
+
+
+# (id, spec, file text, whether verify reads it without read_labeling_csv)
+VERIFY_FILES = [
+    ("valid", "2x3x3", labeling_text(golden_rows()), True),
+    ("violating", "2x3x3", labeling_text(golden_rows(), [(17, '"(2,3,2)",19\n')]), True),
+    ("random order", "2x3x3", labeling_text(golden_rows()[i] for i in (
+        5, 0, 17, 3, 9, 1, 12, 2, 16, 4, 11, 6, 15, 7, 14, 8, 13, 10)), True),
+    ("repeated labels", "2x2",
+     labeling_text(['"(1,1)",3\n', '"(2,2)",3\n', '"(1,2)",3\n', '"(2,1)",1\n']), True),
+    ("unsorted spec", "3x2x2", labeling_text(walk_rows((3, 2, 2))), True),
+    ("two chunks", "2x2x100", labeling_text(walk_rows((2, 2, 100))), True),
+    ("repeated vertex", "2x3x3", labeling_text(golden_rows(), [(17, golden_rows()[0])]), False),
+    ("repeated vertex added", "2x3x3", labeling_text(golden_rows() + golden_rows()[:1]), False),
+    ("repeated vertex outside g", "2x3x3",
+     labeling_text(golden_rows() + ['"(3,1,1)",30\n'] * 2), False),
+    ("outside g then malformed", "2x2x100",
+     labeling_text(walk_rows((2, 2, 100)), [(1, '"(3,1,1)",2\n'), (300, '"(1,1,1)",x\n')]), False),
+    ("outside g in a later chunk", "2x2x100",
+     labeling_text(walk_rows((2, 2, 100)), [(300, '"(1,1,101)",2\n')]), False),
+    ("wrong dimension", "2x3x3", labeling_text(['"(1,1)",1\n', '"(2,2)",2\n']), False),
+    ("one coordinate too many", "2x2", labeling_text(
+        ['"(1,1,1)",1\n', '"(2,2,1)",2\n', '"(2,1,1)",4\n', '"(1,2,1)",5\n']), False),
+    ("one coordinate too few", "2x2x1",
+     labeling_text(['"(1,1)",1\n', '"(2,2)",2\n', '"(2,1)",4\n', '"(1,2)",5\n']), False),
+    ("coordinate 0", "2x2",
+     labeling_text(['"(1,1)",1\n', '"(0,2)",2\n', '"(2,1)",4\n', '"(1,2)",5\n']), False),
+    ("label 0", "2x3x3", labeling_text(golden_rows(), [(0, '"(1,1,1)",0\n')]), False),
+    ("missing vertex", "2x3x3", labeling_text(golden_rows()[:-1]), False),
+    ("header only", "2x3x3", labeling_text([]), False),
+    ("labels beyond 64 bits", "2x2", labeling_text(big_labels(0, 1, 3, 4)), True),
+    ("labels beyond 64 bits violating", "2x2", labeling_text(big_labels(0, 1, 2, 4)), True),
+    ("CRLF", "2x3x3", labeling_text(row.replace("\n", "\r\n") for row in golden_rows()), True),
+    ("no last newline", "2x3x3", labeling_text(golden_rows()).rstrip(), True),
+    ("CRLF, spaces and a blank line", "2x2", labeling_text(
+        ['"( 1, 1 )",1\r\n', "\r\n", '"(2, 2)",2\r\n', '"(2,1)",4\r\n', '"(1 ,2)",5\r\n']), False),
+    ("byte-order mark", "2x3x3", labeling_text(golden_rows(), header="\ufeffvertex,label\n"), True),
+    ("leading zero", "2x3x3", labeling_text(golden_rows(), [(0, '"(01,1,1)",1\n')]), False),
+    ("a spaced row in a later chunk", "2x2x100", labeling_text(
+        walk_rows((2, 2, 100)), [(300, walk_rows((2, 2, 100))[300].replace(",", ", "))]), False),
+]
+
+
+@pytest.mark.parametrize("spec, text, compact", [case[1:] for case in VERIFY_FILES],
+                         ids=[case[0] for case in VERIFY_FILES])
+def test_verify_is_validate_of_read_labeling_csv(spec, text, compact, tmp_path, monkeypatch):
+    import radiohamming.cli as cli_mod
+    import radiohamming.labeling as labeling_mod
+
+    path = tmp_path / "labeling.csv"
+    path.write_bytes(text.encode())
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod, "verify_labeling_csv", lambda g, p: validate(g, read_labeling_csv(p)))
+        expected = run_verify(spec, path)
+    if compact:
+        def unread(source):
+            raise AssertionError("verify read the file with read_labeling_csv")
+
+        monkeypatch.setattr(labeling_mod, "read_labeling_csv", unread)
+    assert run_verify(spec, path) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple)
+    .filter(lambda s: math.prod(s) <= 60),
+    data=st.data(),
+)
+def test_verify_reports_the_oracles_violations(tmp_path_factory, sizes, data):
+    vertices = oracles.all_vertices(sizes)
+    ordering = data.draw(st.permutations(vertices))
+    labeling = dict(zip(ordering, oracles.greedy_labels(sizes, ordering)))
+    if len(vertices) > 1:
+        # a vertex given another's label, as the benchmark corrupts its files
+        pairs = st.lists(st.sampled_from(vertices), min_size=2, max_size=2, unique=True)
+        for u, v in data.draw(st.lists(pairs, max_size=3)):
+            labeling[u] = labeling[v]
+    rows = data.draw(st.permutations(list(labeling.items())))
+    path = tmp_path_factory.mktemp("verify") / "labeling.csv"
+    path.write_text("vertex,label\n" + "".join(f'"{format_vertex(v)}",{f}\n' for v, f in rows))
+    violations = oracles.violating_pairs(sizes, labeling)
+    code, out, err = run_verify("x".join(map(str, sizes)), path)
+    assert (code, err) == (1 if violations else 0, "")
+    assert json.loads(out) == {
+        "valid": not violations,
+        "span": max(labeling.values()),
+        "violations": [
+            {"u": format_vertex(u), "v": format_vertex(v), "required_gap": need, "actual_gap": gap}
+            for u, v, need, gap in violations
+        ],
+    }
+
+
+def test_verify_holds_one_int_per_row(tmp_path):
+    # 27,000 rows in random order, three of them given another row's label,
+    # as the benchmark writes them: the dict of the labeling and validate's
+    # sort took 7.4 MB; one key per row, its label and coordinate arrays
+    # and a window of the scan take 1.7 MB
+    vertices = HammingGraph((30, 30, 30)).vertices()
+    rng = random.Random(0)
+    rng.shuffle(vertices)
+    labels = list(range(3, 3 * len(vertices) + 1, 3))  # any order of them is valid
+    for u, v in (rng.sample(range(len(vertices)), 2) for _ in range(3)):
+        labels[u] = labels[v]
+    path = tmp_path / "labeling.csv"
+    path.write_text("vertex,label\n" + "".join(
+        f'"{format_vertex(v)}",{f}\n' for v, f in zip(vertices, labels)))
+    tracemalloc.start()
+    try:
+        run_verify("2x3x3", GOLDEN_LABELING)  # fills the parser's caches
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        code, out, err = run_verify("30x30x30", path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (1, "")
+    assert len(json.loads(out)["violations"]) >= 3
+    assert peak < 2_500_000
 
 
 class TestRn:
