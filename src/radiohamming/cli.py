@@ -15,6 +15,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
+from itertools import chain
 
 from .exceptional import FormulaDomainError, radio_number_formula
 from .graphs import GraphError, HammingGraph, parse_graph, vertex_template
@@ -128,10 +129,13 @@ def cmd_order(args) -> int:
         else:
             out.write("position,vertex\n")
             row = f"%s,{csv_vertex_template(len(sizes))}\n"
-            for k, (*columns, positions) in enumerate(walk):
-                if args.blocks and k:
+            blocks = (zip(positions, *columns) for *columns, positions in walk)
+            if not args.blocks:  # one run of rows, so each write spans block seams
+                blocks = [chain.from_iterable(blocks)]
+            for k, rows in enumerate(blocks):
+                if k:
                     out.write(f"# block {k + 1}\n")
-                write_csv_rows(out, row, [positions, *columns])
+                write_csv_rows(out, row, rows)
     return EXIT_OK
 
 
@@ -188,7 +192,7 @@ def cmd_label(args) -> int:
     with _open_output(args.output) as out:
         out.write("vertex,label\n")
         for columns in blocks:
-            write_csv_rows(out, row, columns)
+            write_csv_rows(out, row, zip(*columns))
     span = columns[-1][-1]  # the last label
     if not args.certify:
         return EXIT_OK

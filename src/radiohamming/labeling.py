@@ -11,16 +11,19 @@ window width D < diam(G).
 Only pairs whose labels differ by less than diam(G) can violate the radio
 condition, so validation scans the label-sorted vertices for pairs one, two,
 ... places apart and stops at the first distance with no gap below diam(G);
-with distinct labels that is O(N * diam) after the sort.  Vertices are
-checked in bulk (HammingGraph.are_vertices).  The one window scan is
-lane-packed: a chunk of 4,096 positions packs its labels and each
-coordinate column into one int, a 32-bit lane per position, and a few
-big-int operations test all its pairs at one offset; its partners end at
-its last label + diam(G).  A window whose labels reach 2^31 is rebased,
-each gap cut to diam(G): gaps below diam(G) stay exact, the others at
-least diam(G), and its labels below 4,096 * diam(G).  The bulk check keeps
-coordinates at most N >= 2^diam(G); both bounds stay below 2^31, as no
-graph of 2^31 vertices fits in memory.
+with distinct labels that is O(N * diam) after the sort.  The one window
+scan reads the vertices as one array('I') per coordinate, made once per
+call: the bijection check of an ordering returns them, validate transposes
+its sorted vertices, and verify_labeling_csv reads a file into them.  The
+scan is lane-packed: a chunk of 4,096 positions packs its labels and each
+coordinate column into one int, a 32-bit lane per position (a column's
+lanes are a copy of its bytes), and a few big-int operations test all its
+pairs at one offset; its partners end at its last label + diam(G).  A
+window whose labels reach 2^31 is rebased, each gap cut to diam(G): gaps
+below diam(G) stay exact, the others at least diam(G), and its labels
+below 4,096 * diam(G).  The vertex checks keep coordinates at most
+N >= 2^diam(G); both bounds stay below 2^31, as no graph of 2^31 vertices
+fits in memory.
 
 check_graceful is the yes/no graceful test of any ordering: the window scan
 on the consecutive labels, stopped at the first flagged pair.  Violation
@@ -40,10 +43,11 @@ rest row by row, so its dict, key order and errors are those of the csv
 reader alone.  write_csv_rows writes a chunk of rows with one %-format.
 verify_labeling_csv, the check of a labeling file, keeps canonical rows as
 one int each, label * N + the vertex's mixed-radix index, whose sort is
-validate's (label, vertex) order; the window scan reads the vertices back
-from one array per coordinate.  A file that is not canonical throughout,
-a file that ends in an error, and a pipe are read by read_labeling_csv
-and validated, so their reports and errors are those two functions'.
+validate's (label, vertex) order; it unpacks the sorted keys into one
+array per coordinate and makes a vertex tuple only for a violation.  A
+file that is not canonical throughout, a file that ends in an error, and
+a pipe are read by read_labeling_csv and validated, so their reports and
+errors are those two functions'.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, floordiv, mod, mul, sub
+from operator import add, floordiv, itemgetter, mod, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
 
 from .graphs import GraphError, HammingGraph, Vertex, are_ints, format_vertex, hamming
@@ -138,33 +142,38 @@ def validate(g: HammingGraph, labeling: RadioLabeling) -> ValidationReport:
         )
 
     labels, vertices = zip(*sorted(zip(labeling.values(), labeling)))
-    return _report(vertices, labels, g.diameter)
+    columns = [array("I", map(itemgetter(c), vertices)) for c in range(len(g.factor_sizes))]
+    return _report(vertices.__getitem__, columns, labels, g.diameter)
 
 
-def _report(vertices: Sequence[Vertex], labels: Sequence[int], diam: int) -> ValidationReport:
-    """validate's report on the vertices of a labeling sorted by (label,
-    vertex), with their labels."""
+def _report(
+    vertex: Callable[[int], Vertex], columns: list[array], labels: Sequence[int], diam: int
+) -> ValidationReport:
+    """validate's report on a labeling sorted by (label, vertex): its
+    coordinate columns and labels in that order, and the vertex at a
+    position, which is read only for a violating pair."""
     # position order is (smaller label, vertex, larger label, vertex) order,
     # because the vertices are sorted by (label, vertex)
     violations = []
-    for i, j in sorted(_window_violations(vertices, labels, diam)):
-        u, v = vertices[i], vertices[j]
+    for i, j in sorted(_window_violations(columns, labels, diam)):
+        u, v = vertex(i), vertex(j)
         violations.append(Violation(u, v, diam + 1 - hamming(u, v), labels[j] - labels[i]))
     return ValidationReport(valid=not violations, span=labels[-1], violations=violations)
 
 
 def _window_violations(
-    vertices: Sequence[Vertex], labels: Sequence[int], diam: int
+    columns: list[array], labels: Sequence[int], diam: int
 ) -> Iterator[tuple[int, int]]:
     """Positions i < j of the violating pairs among vertices sorted by
-    (label, vertex), a chunk of positions i and one offset j - i at a time.
+    (label, vertex), given as one array('I') per coordinate, a chunk of
+    positions i and one offset j - i at a time.
 
     A pair violates iff its label gap plus its distance is at most diam.
     Distinct vertices are at distance >= 1, so only gaps below diam can
     violate, and labels never decrease, so once no pair at some offset has
     a gap below diam, no pair further apart has either.
     """
-    n = len(vertices)
+    n = len(labels)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         end = bisect_left(labels, labels[stop - 1] + diam, stop)
@@ -174,10 +183,8 @@ def _window_violations(
             window = list(accumulate(
                 map(min, map(sub, islice(window, 1, None), window), repeat(diam)), initial=0
             ))
-        label_lanes, *columns = (
-            int.from_bytes(array("I", values).tobytes(), "little")
-            for values in (window, *zip(*vertices[start:end]))
-        )
+        label_lanes = int.from_bytes(array("I", window).tobytes(), "little")
+        coordinate_lanes = [int.from_bytes(c[start:end].tobytes(), "little") for c in columns]
         lanes = stop - start
         ones = int.from_bytes(bytes(array("I", [1])) * lanes, "little")
         high = ones << 31
@@ -195,7 +202,7 @@ def _window_violations(
             # the columns, a lane's count spills only into the next lane's
             # bits below its top bit
             differ = 0
-            for column in columns:
+            for column in coordinate_lanes:
                 differ += (((column >> shift) ^ column) + low) & high
             # the top bit is now clear iff gap + distance <= diam
             sums = (raised + (differ >> 31) - ones) & tops
@@ -207,11 +214,28 @@ def _window_violations(
 
 def verify_bijection(g: HammingGraph, ordering: Ordering) -> bool:
     """True iff ordering lists every vertex of g exactly once."""
-    return (
+    return _bijection_columns(g, ordering) is not None
+
+
+def _bijection_columns(g: HammingGraph, ordering: Ordering) -> list[array] | None:
+    """The ordering's coordinates, one array('I') each in position order, if
+    it lists every vertex of g once, by check_vertex's test; None otherwise.
+    The set that tests distinctness is freed before the columns are built."""
+    sizes = g.factor_sizes
+    if not (
         len(ordering) == g.vertex_count
-        and g.are_vertices(ordering)
+        and all(map(isinstance, ordering, repeat(tuple)))
+        and set(map(len, ordering)) <= {len(sizes)}
+        and are_ints(chain.from_iterable(ordering))
         and len(set(ordering)) == len(ordering)
-    )
+    ):
+        return None
+    try:
+        columns = [array("I", map(itemgetter(c), ordering)) for c in range(len(sizes))]
+    except OverflowError:  # a coordinate below 0 or of 32 bits or more
+        return None
+    ranges = zip(map(set, columns), sizes)
+    return columns if all(min(v) >= 1 and max(v) <= size for v, size in ranges) else None
 
 
 def check_graceful(g: HammingGraph, ordering: Ordering) -> GracefulReport:
@@ -222,9 +246,9 @@ def check_graceful(g: HammingGraph, ordering: Ordering) -> GracefulReport:
     at the first pair that fails.  Raises LabelingError if the ordering is
     not a bijection onto V(g).
     """
-    if not verify_bijection(g, ordering):
+    if (columns := _bijection_columns(g, ordering)) is None:
         raise LabelingError(f"ordering is not a bijection onto the vertices of {g}")
-    flagged = _window_violations(ordering, range(len(ordering)), g.diameter)
+    flagged = _window_violations(columns, range(len(ordering)), g.diameter)
     return GracefulReport(graceful=next(flagged, None) is None)
 
 
@@ -451,23 +475,7 @@ def _verify_canonical(g: HammingGraph, path: str) -> ValidationReport | None:
         digits = map(mod, map(floordiv, keys, repeat(weight)), repeat(size))
         columns.append(array("I", map(add, digits, repeat(1))))
     del keys  # before the window scan: the arrays hold every row
-    return _report(_ColumnRows(columns), labels, g.diameter)
-
-
-class _ColumnRows:
-    """The vertices of coordinate columns, each made when it is read: an
-    index gives one vertex, a slice a list of them."""
-
-    def __init__(self, columns: list[array]):
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(zip(*(column[i] for column in self.columns)))
-        return tuple(column[i] for column in self.columns)
+    return _report(lambda i: tuple(column[i] for column in columns), columns, labels, g.diameter)
 
 
 def csv_vertex_template(dimension: int) -> str:
@@ -476,13 +484,14 @@ def csv_vertex_template(dimension: int) -> str:
     return f'"{template}"' if dimension > 1 else template
 
 
-def write_csv_rows(out: TextIO, row: str, columns: Sequence[Sequence]) -> None:
-    """Write row % (column[i] for column in columns) for every i, one
-    %-format per chunk of _CSV_ROWS rows.  With %s fields, ints and a
-    csv_vertex_template, that is csv.writer's text for the same rows."""
-    for start in range(0, len(columns[0]), _CSV_ROWS):
-        chunk = [column[start : start + _CSV_ROWS] for column in columns]
-        out.write(row * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
+def write_csv_rows(out: TextIO, row: str, rows: Iterable[Sequence]) -> None:
+    """Write row % tuple(r) for every row r of rows, one %-format per chunk
+    of _CSV_ROWS rows.  With %s fields, ints and a csv_vertex_template,
+    that is csv.writer's text for the same rows."""
+    fields = row.count("%s")
+    values = chain.from_iterable(rows)
+    while chunk := tuple(islice(values, fields * _CSV_ROWS)):
+        out.write(row * (len(chunk) // fields) % chunk)
 
 
 def write_labeling_csv(target: Union[str, TextIO], labeling: RadioLabeling) -> None:
@@ -499,4 +508,5 @@ def write_labeling_csv(target: Union[str, TextIO], labeling: RadioLabeling) -> N
     dimension = len(vertices[0])
     if set(map(len, vertices)) != {dimension}:
         raise TypeError("the vertices of a labeling must have one dimension")
-    write_csv_rows(target, f"{csv_vertex_template(dimension)},%s\n", [*zip(*vertices), labels])
+    rows = map(add, vertices, zip(labels))  # (*vertex, label)
+    write_csv_rows(target, f"{csv_vertex_template(dimension)},%s\n", rows)

@@ -36,7 +36,7 @@ rows' seeds, whether the labels 1..N along the walk are a radio labeling.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, cycle, islice
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -73,7 +73,7 @@ def _odometer(sizes: tuple[int, ...]) -> tuple[list[int], list[int]]:
 
 def _walk(sizes: tuple[int, ...]) -> Iterator[list[Sequence[int]]]:
     rows = math.lcm(*sizes)
-    columns = [[r % n + 1 for r in range(rows)] for n in sizes]
+    columns = [list(islice(cycle(range(1, n + 1)), rows)) for n in sizes]
     steps, radices = _odometer(sizes)
     places = list(accumulate(radices, mul))
     for b in range(math.prod(radices)):

@@ -28,6 +28,7 @@ from radiohamming import (
     validate,
     write_labeling_csv,
 )
+import radiohamming.labeling as labeling_mod
 from radiohamming.cli import main
 
 import oracles
@@ -215,6 +216,15 @@ class TestOrder:
         code, out, _ = run_cli(["order", spec, *(["--blocks"] if blocks else [])], capsys)
         assert code == 0
         assert out == expected.getvalue()
+
+    @pytest.mark.parametrize("blocks", [False, True], ids=["flat", "blocks"])
+    def test_csv_chunks_across_block_seams(self, blocks, capsys, monkeypatch):
+        # 2x2x4 has 4 blocks of 4 rows: chunks of 3 rows end inside blocks
+        # and, without --blocks, run across their seams
+        args = ["order", "2x2x4", *(["--blocks"] if blocks else [])]
+        whole = run_cli(args, capsys)
+        monkeypatch.setattr(labeling_mod, "_CSV_ROWS", 3)
+        assert run_cli(args, capsys) == whole
 
     def test_json_flat(self, capsys):
         code, out, _ = run_cli(["order", "2x3x4", "--format", "json"], capsys)

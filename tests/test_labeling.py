@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import io
@@ -262,10 +263,17 @@ def test_greedy_output_always_validates(sizes, data):
 
 
 SIZES = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple)
-BAD_ITEMS = ["bool", "float", "zero", "size+1", "length", "list", "duplicate"]
+BAD_ITEMS = ["bool", "float", "zero", "size+1", "negative", "huge", "length", "list", "duplicate"]
+# items that check_vertex accepts, though oracles.is_bijection wants exact types
+ACCEPTED_ITEMS = ["namedtuple", "int subclass"]
+ROWS = {k: collections.namedtuple(f"Row{k}", [f"c{c}" for c in range(k)]) for k in range(1, 5)}
 
 
-def _bad_item(ordering, pos, kind, sizes):
+class Coordinate(int):
+    """An int subclass other than bool."""
+
+
+def _odd_item(ordering, pos, kind, sizes):
     v = list(ordering[pos])
     c = pos % len(v)
     if kind == "list":
@@ -274,7 +282,10 @@ def _bad_item(ordering, pos, kind, sizes):
         return tuple(v + [1]) if pos % 2 else tuple(v[:-1])
     if kind == "duplicate":
         return ordering[pos - 1]  # the last item when pos is 0
-    v[c] = {"bool": True, "float": 1.0, "zero": 0, "size+1": sizes[c] + 1}[kind]
+    if kind == "namedtuple":
+        return ROWS[len(v)](*v)
+    v[c] = {"bool": True, "float": 1.0, "zero": 0, "size+1": sizes[c] + 1, "negative": -1,
+            "huge": 2**32 + v[c], "int subclass": Coordinate(v[c])}[kind]
     return tuple(v)
 
 
@@ -289,16 +300,31 @@ def _passes_check_vertex(g, v):
 @settings(max_examples=300, deadline=None)
 @given(sizes=SIZES, data=st.data())
 def test_verify_bijection_matches_item_by_item_check(sizes, data):
+    # verify_bijection, check_graceful and span_of_ordering share one check:
+    # the two raise exactly where it fails, and an accepted item gives the
+    # results of the plain vertex it stands for
     g = HammingGraph(sizes)
-    ordering = data.draw(st.permutations(g.vertices()))
-    assert verify_bijection(g, ordering)
-    pos = data.draw(st.sampled_from([0, len(ordering) // 2, len(ordering) - 1]))
-    kind = data.draw(st.sampled_from(BAD_ITEMS))
-    ordering[pos] = _bad_item(ordering, pos, kind, sizes)
-    assert verify_bijection(g, ordering) == oracles.is_bijection(sizes, ordering)
+    plain = data.draw(st.permutations(g.vertices()))
+    assert verify_bijection(g, plain)
+    pos = data.draw(st.sampled_from([0, len(plain) // 2, len(plain) - 1]))
+    kind = data.draw(st.sampled_from(BAD_ITEMS + ACCEPTED_ITEMS))
+    ordering = list(plain)
+    ordering[pos] = _odd_item(ordering, pos, kind, sizes)
+    bijection = verify_bijection(g, ordering)
+    if kind in ACCEPTED_ITEMS:
+        assert bijection
+    else:
+        assert bijection == oracles.is_bijection(sizes, ordering)
     assert g.are_vertices(ordering) == all(_passes_check_vertex(g, v) for v in ordering)
-    if kind != "duplicate" or len(ordering) > 1:
-        assert not verify_bijection(g, ordering)
+    if kind in BAD_ITEMS and (kind != "duplicate" or len(ordering) > 1):
+        assert not bijection
+    refusal = f"^ordering is not a bijection onto the vertices of {g}$"
+    for check in (check_graceful, span_of_ordering):
+        if bijection:
+            assert check(g, ordering) == check(g, plain)
+        else:
+            with pytest.raises(LabelingError, match=refusal):
+                check(g, ordering)
 
 
 def test_validate_names_the_first_bad_item():
@@ -408,26 +434,26 @@ def test_verify_reports_labels_beyond_64_bits(tmp_path, capsys):
 
 
 def test_check_graceful_scans_in_chunk_sized_memory(monkeypatch):
-    # the set of verify_bijection is freed before the scan starts, so the
-    # peak after it is the scan's: chunks of 4,096 positions, not 216,000
+    # the bijection check's set is freed before it returns its columns, so
+    # the peak after it is the scan's: chunks of 4,096 positions, not 216,000
     g = HammingGraph((60, 60, 60))
     ordering = build_ordering(60, 60, 60)
-    bijection = labeling_mod.verify_bijection
+    check, held = labeling_mod._bijection_columns, []
 
-    def bijection_then_reset_peak(*args):
-        ok = bijection(*args)
+    def check_then_reset_peak(*args):
+        columns = check(*args)
         tracemalloc.reset_peak()
-        return ok
+        held.append(tracemalloc.get_traced_memory()[0])
+        return columns
 
-    monkeypatch.setattr(labeling_mod, "verify_bijection", bijection_then_reset_peak)
+    monkeypatch.setattr(labeling_mod, "_bijection_columns", check_then_reset_peak)
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
         assert check_graceful(g, ordering).graceful
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - before < 2**20
+    assert peak - held[0] < 2**20
 
 
 def test_order_and_label_walk_once_and_scan_no_window(monkeypatch):
@@ -493,7 +519,7 @@ def test_label_walk_of_walks_that_are_not_graceful(sizes, chunk):
     row = f"{labeling_mod.csv_vertex_template(len(sizes))},%s\n"
     with mock.patch.object(labeling_mod, "_CSV_ROWS", chunk):
         for columns in blocks:
-            labeling_mod.write_csv_rows(out, row, columns)
+            labeling_mod.write_csv_rows(out, row, zip(*columns))
     assert out.getvalue() == expected.getvalue()
 
 
