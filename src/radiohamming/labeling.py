@@ -35,19 +35,18 @@ label_walk returns a graceful walk as it is, its positions the labels, and
 labels any other a block per run; span_of_ordering labels any ordering,
 with the positions when it is graceful.
 
-CSV rows are read and written a chunk at a time, so that C does the per-row
-work.  read_labeling_csv takes each chunk of lines whose every line is a
-canonical row "(d,...,d)",d in one regex match and one JSON array; from the
-first chunk that is not, or that repeats a vertex, the csv reader reads the
-rest row by row, so its dict, key order and errors are those of the csv
-reader alone.  write_csv_rows writes a chunk of rows with one %-format.
-verify_labeling_csv, the check of a labeling file, keeps canonical rows as
-one int each, label * N + the vertex's mixed-radix index, whose sort is
-validate's (label, vertex) order; it unpacks the sorted keys into one
-array per coordinate and makes a vertex tuple only for a violation.  A
-file that is not canonical throughout, a file that ends in an error, and
-a pipe are read by read_labeling_csv and validated, so their reports and
-errors are those two functions'.
+read_labeling_csv, the reference reader, reads every row with Python's csv
+reader.  verify_labeling_csv, the check of a labeling file, reads it a chunk
+of lines at a time, so that C does the per-row work: a chunk whose every
+line is a canonical row "(d,...,d)",d takes one regex match and one JSON
+array, and its rows are kept as one int each, label * N + the vertex's
+mixed-radix index, whose sort is validate's (label, vertex) order; it
+unpacks the sorted keys into one array per coordinate and makes a vertex
+tuple only for a violation.  A file that is not canonical throughout, a
+file that ends in an error, and a pipe are read by read_labeling_csv and
+validated, so their reports and errors are those two functions', at the
+csv reader's speed.  write_csv_rows writes a chunk of rows with one
+%-format.
 """
 
 from __future__ import annotations
@@ -73,9 +72,9 @@ Ordering = Sequence[Vertex]
 
 # Positions per chunk of the window scan.
 _CHUNK = 4096
-# Rows per chunk of the CSV reader and writer.  Larger chunks ran no faster,
-# and their temporaries raised the peak RSS of verify 30x30x30 (1,024 rows
-# by 0.3 MB, 4,096 by 1 MB).
+# Rows per chunk of verify_labeling_csv's reader and of the CSV writer.
+# Larger chunks ran no faster, and their temporaries raised the peak RSS of
+# verify 30x30x30 (1,024 rows by 0.3 MB, 4,096 by 1 MB).
 _CSV_ROWS = 256
 
 
@@ -336,24 +335,11 @@ def read_labeling_csv(source: Union[str, TextIO]) -> RadioLabeling:
             except UnicodeDecodeError as exc:
                 raise LabelingError(f"{source!r} is not utf-8 text: {exc.reason}") from None
     try:
-        return _read_labeling_lines(iter(source))
+        reader = csv.reader(source)
+        _read_header(reader)
+        return _add_rows(reader)
     except csv.Error as exc:  # e.g. a field above csv.field_size_limit()
         raise LabelingError(f"malformed labeling CSV: {exc}") from None
-
-
-def _read_labeling_lines(lines: Iterator[str]) -> RadioLabeling:
-    """The labeling that the csv reader reads from lines, a chunk of
-    _CSV_ROWS lines at a time while every line of a chunk is a canonical
-    row; from the first chunk that is not, the csv reader takes the rest."""
-    _read_header(csv.reader(lines))
-    labeling: RadioLabeling = {}
-    while chunk := list(islice(lines, _CSV_ROWS)):
-        columns = _canonical_columns(chunk)
-        rows = {} if columns is None else dict(zip(zip(*columns[:-1]), columns[-1]))
-        if len(rows) < len(chunk) or not labeling.keys().isdisjoint(rows):
-            return _add_rows(csv.reader(chain(chunk, lines)), labeling)
-        labeling.update(rows)
-    return labeling
 
 
 def _canonical_columns(chunk: list[str]) -> list[list[int]] | None:
@@ -393,7 +379,8 @@ def _read_header(reader) -> None:
         raise LabelingError(f"expected header 'vertex,label', got {header!r}")
 
 
-def _add_rows(reader, labeling: RadioLabeling) -> RadioLabeling:
+def _add_rows(reader) -> RadioLabeling:
+    labeling: RadioLabeling = {}
     for row in reader:
         if not row:
             continue

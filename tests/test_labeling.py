@@ -704,14 +704,14 @@ def test_read_labeling_csv_raises_only_labeling_error(text):
     assert isinstance(labeling, dict)
 
 
-# Rows the chunked reader leaves to the csv reader, each for a reason
+# Rows that verify's compact reader leaves to read_labeling_csv, each for a reason
 ODD_ROWS = [
     '"( 1, 2 )",5',  # spaces inside the vertex
     "(3),4",  # an unquoted vertex of one coordinate
     '"(1,\n2)",6',  # a quoted field across two lines
     '"(1,2,3)",7',  # another dimension
     "",  # a blank line
-    '"(1,1)",5',  # a vertex that the canonical rows may repeat
+    '"(1,1)",5',  # a vertex that the canonical rows repeat
     '"(01,2)",8',  # a leading zero
     '"(1,' + "1" * 4301 + ')",9',  # more digits than int() takes
     '"(1,\u0663)",9',  # a non-ASCII digit
@@ -720,52 +720,40 @@ ODD_ROWS = [
 ] + [f'"(2,3)",{label}' for label in ["+7", " 7 ", "7_0", "-1", "007", "\u0667", "1" * 4301, "x"]]
 
 
-def _read_outcome(read, text: str, newline: str):
+def _outcome(check):
     try:
-        labeling = read(io.StringIO(text, newline=newline))
-    except LabelingError as exc:
-        return "error", str(exc)
-    return labeling, list(labeling)
-
-
-def _row_by_row(source):
-    try:
-        reader = csv.reader(source)
-        labeling_mod._read_header(reader)
-        return labeling_mod._add_rows(reader, {})
-    except csv.Error as exc:
-        raise LabelingError(f"malformed labeling CSV: {exc}") from None
+        return check()
+    except (GraphError, LabelingError) as exc:
+        return type(exc), str(exc)
 
 
 @settings(max_examples=400, deadline=None)
 @given(
-    vertices=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), unique=True, max_size=24),
-    odd=st.lists(st.tuples(st.integers(0, 24), st.sampled_from(ODD_ROWS)), max_size=3),
+    vertices=st.permutations(HammingGraph((3, 3)).vertices()),
+    labels=st.lists(st.integers(1, 12), min_size=9, max_size=9),
+    odd=st.lists(st.tuples(st.integers(0, 9), st.sampled_from(ODD_ROWS)), max_size=3),
     ends=st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]), min_size=1, max_size=4),
     last_end=st.booleans(),
     chunk=st.sampled_from([1, 2, 3, 7]),
-    newline=st.sampled_from(["", "\n"]),
 )
-def test_chunked_reader_is_the_row_by_row_reader(vertices, odd, ends, last_end, chunk, newline):
-    # canonical rows with odd ones among them, across chunk seams: the same
-    # dict in the same key order, or the same error
-    rows = [f'"({a},{b})",{a * b + 1}' for a, b in vertices]
+def test_chunked_reader_is_the_row_by_row_reader(
+    tmp_path_factory, vertices, labels, odd, ends, last_end, chunk
+):
+    # every vertex of 3x3 in canonical rows, odd ones among them, across
+    # chunk seams: verify's report or error is validate's on the csv
+    # reader's dict, and it reads canonical files without the csv reader
+    g = HammingGraph((3, 3))
+    rows = [f'"({a},{b})",{label}' for (a, b), label in zip(vertices, labels)]
     for i, row in odd:
         rows.insert(i, row)
     lines = ["vertex,label", *rows]
     text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
     if not last_end:
         text = text.rstrip("\r\n")
-    with mock.patch.object(labeling_mod, "_CSV_ROWS", chunk):
-        chunked = _read_outcome(read_labeling_csv, text, newline)
-    assert chunked == _read_outcome(_row_by_row, text, newline)
-
-
-def test_canonical_rows_skip_the_row_by_row_reader(tmp_path, monkeypatch):
-    sizes = (6, 7, 8)
-    labeling, _ = span_of_ordering(HammingGraph(sizes), build_ordering(*sizes))
-    path = tmp_path / "lab.csv"
-    write_labeling_csv(str(path), labeling)
-    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    monkeypatch.setattr(labeling_mod, "_add_rows", None)
-    assert read_labeling_csv(str(path)) == labeling
+    path = tmp_path_factory.mktemp("verify") / "labeling.csv"
+    path.write_bytes(text.encode())
+    expected = _outcome(lambda: validate(g, read_labeling_csv(str(path))))
+    canonical = not odd and "\r" not in ends  # then every line is a canonical row
+    unread = {"read_labeling_csv": None} if canonical else {}
+    with mock.patch.multiple(labeling_mod, _CSV_ROWS=chunk, **unread):
+        assert _outcome(lambda: labeling_mod.verify_labeling_csv(g, str(path))) == expected
