@@ -191,9 +191,10 @@ def cmd_label(args) -> int:
     row = f"{csv_vertex_template(len(g.factor_sizes))},%s\n"
     with _open_output(args.output) as out:
         out.write("vertex,label\n")
-        for columns in blocks:
-            write_csv_rows(out, row, zip(*columns))
-    span = columns[-1][-1]  # the last label
+        # one run of rows, so each write spans block seams
+        rows = chain.from_iterable(zip(*(last := columns)) for columns in blocks)
+        write_csv_rows(out, row, rows)
+    span = last[-1][-1]  # the last block's last label
     if not args.certify:
         return EXIT_OK
     solved, exit_code = _certify(g, span, _solver_config(args))

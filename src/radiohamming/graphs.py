@@ -16,6 +16,7 @@ import itertools
 import math
 import operator
 import re
+from array import array
 from dataclasses import dataclass
 from typing import Collection, Iterable
 
@@ -91,21 +92,26 @@ class HammingGraph:
             if not _int_type(type(coord)) or not 1 <= coord <= size:
                 raise GraphError(f"coordinate {coord!r} of vertex {v!r} outside 1..{size}")
 
-    def are_vertices(self, items: Collection[Vertex]) -> bool:
-        """True iff every item is a vertex of this graph: check_vertex's test,
-        column by column."""
+    def vertex_columns(self, items: Collection[Vertex]) -> list[array] | None:
+        """The items' coordinates, one array('I') per coordinate in item order,
+        if every item is a vertex of this graph by check_vertex's test; None
+        otherwise."""
         sizes = self.factor_sizes
         if not (
             all(map(isinstance, items, itertools.repeat(tuple)))
             and set(map(len, items)) <= {len(sizes)}
             and are_ints(itertools.chain.from_iterable(items))
         ):
-            return False
-        for c, size in enumerate(sizes):
-            values = set(map(operator.itemgetter(c), items))
+            return None
+        try:
+            columns = [array("I", map(operator.itemgetter(c), items)) for c in range(len(sizes))]
+        except OverflowError:  # a coordinate below 0 or of 32 bits or more
+            return None
+        for column, size in zip(columns, sizes):
+            values = set(column)
             if min(values, default=1) < 1 or max(values, default=1) > size:
-                return False
-        return True
+                return None
+        return columns
 
     def vertices(self) -> list[Vertex]:
         """All vertices in lexicographic order."""

@@ -13,8 +13,9 @@ condition, so validation scans the label-sorted vertices for pairs one, two,
 ... places apart and stops at the first distance with no gap below diam(G);
 with distinct labels that is O(N * diam) after the sort.  The one window
 scan reads the vertices as one array('I') per coordinate, made once per
-call: the bijection check of an ordering returns them, validate transposes
-its sorted vertices, and verify_labeling_csv reads a file into them.  The
+call: the bijection check of an ordering returns them, and validate and
+verify_labeling_csv unpack them from one int key per vertex, label * N +
+the vertex's mixed-radix index, whose sort is (label, vertex) order.  The
 scan is lane-packed: a chunk of 4,096 positions packs its labels and each
 coordinate column into one int, a 32-bit lane per position (a column's
 lanes are a copy of its bytes), and a few big-int operations test all its
@@ -39,14 +40,12 @@ read_labeling_csv, the reference reader, reads every row with Python's csv
 reader.  verify_labeling_csv, the check of a labeling file, reads it a chunk
 of lines at a time, so that C does the per-row work: a chunk whose every
 line is a canonical row "(d,...,d)",d takes one regex match and one JSON
-array, and its rows are kept as one int each, label * N + the vertex's
-mixed-radix index, whose sort is validate's (label, vertex) order; it
-unpacks the sorted keys into one array per coordinate and makes a vertex
-tuple only for a violation.  A file that is not canonical throughout, a
-file that ends in an error, and a pipe are read by read_labeling_csv and
-validated, so their reports and errors are those two functions', at the
-csv reader's speed.  write_csv_rows writes a chunk of rows with one
-%-format.
+array, and its rows are kept as validate's keys, one int each, and sorted
+and unpacked as validate's are, with a vertex tuple made only for a
+violation.  A file that is not canonical throughout, a file that ends in an
+error, and a pipe are read by read_labeling_csv and validated, so their
+reports and errors are those two functions', at the csv reader's speed.
+write_csv_rows writes a chunk of rows with one %-format.
 """
 
 from __future__ import annotations
@@ -129,7 +128,8 @@ def validate(g: HammingGraph, labeling: RadioLabeling) -> ValidationReport:
     if not isinstance(labeling, dict):
         raise LabelingError("labeling must map vertices to labels")
     labels = labeling.values()
-    if not (g.are_vertices(labeling) and are_ints(labels) and min(labels, default=1) >= 1):
+    columns = g.vertex_columns(labeling)
+    if not (columns is not None and are_ints(labels) and min(labels, default=1) >= 1):
         # find the first bad item, in dict order, to name it in the error
         for v, label in labeling.items():
             g.check_vertex(v)
@@ -139,23 +139,43 @@ def validate(g: HammingGraph, labeling: RadioLabeling) -> ValidationReport:
         raise LabelingError(
             f"labeling covers {len(labeling)} of {g.vertex_count} vertices of {g}"
         )
-
-    labels, vertices = zip(*sorted(zip(labeling.values(), labeling)))
-    columns = [array("I", map(itemgetter(c), vertices)) for c in range(len(g.factor_sizes))]
-    return _report(vertices.__getitem__, columns, labels, g.diameter)
+    return _key_report(g, list(_vertex_keys(g, labels, columns)))
 
 
-def _report(
-    vertex: Callable[[int], Vertex], columns: list[array], labels: Sequence[int], diam: int
-) -> ValidationReport:
-    """validate's report on a labeling sorted by (label, vertex): its
-    coordinate columns and labels in that order, and the vertex at a
-    position, which is read only for a violating pair."""
+def _vertex_keys(
+    g: HammingGraph, labels: Iterable[int], columns: Iterable[Iterable[int]]
+) -> Iterator[int]:
+    """label * N + the vertex's mixed-radix index, its first coordinate most
+    significant, for each label and vertex, the vertices given by their
+    coordinate columns: sorted, the keys are (label, vertex) order."""
+    keys, offset = labels, 0  # offset: what coordinates from 1, not 0, add to a key
+    for column, size in zip(columns, g.factor_sizes):
+        keys = map(add, map(mul, keys, repeat(size)), column)  # Horner's rule
+        offset = offset * size + 1
+    # a difference last: CPython allocates a sum one digit more, 16 B per key
+    return map(sub, keys, repeat(offset))
+
+
+def _key_report(g: HammingGraph, keys: list[int]) -> ValidationReport:
+    """validate's report on the labeling whose _vertex_keys are keys, which
+    are sorted in place and then emptied."""
+    sizes, n, diam = g.factor_sizes, g.vertex_count, g.diameter
+    keys.sort()
+    try:
+        labels = array("q", map(floordiv, keys, repeat(n)))
+    except OverflowError:  # labels of 2^63 or more stay Python ints
+        labels = [key // n for key in keys]
+    # each coordinate's digit, the coordinate - 1: the scan only compares them
+    digits, weight = [], n
+    for size in sizes:
+        weight //= size  # of this coordinate in the index
+        digits.append(array("I", map(mod, map(floordiv, keys, repeat(weight)), repeat(size))))
+    keys.clear()  # before the window scan: the arrays hold every row
     # position order is (smaller label, vertex, larger label, vertex) order,
-    # because the vertices are sorted by (label, vertex)
+    # because the keys are sorted
     violations = []
-    for i, j in sorted(_window_violations(columns, labels, diam)):
-        u, v = vertex(i), vertex(j)
+    for i, j in sorted(_window_violations(digits, labels, diam)):
+        u, v = (tuple(column[k] + 1 for column in digits) for k in (i, j))
         violations.append(Violation(u, v, diam + 1 - hamming(u, v), labels[j] - labels[i]))
     return ValidationReport(valid=not violations, span=labels[-1], violations=violations)
 
@@ -218,23 +238,11 @@ def verify_bijection(g: HammingGraph, ordering: Ordering) -> bool:
 
 def _bijection_columns(g: HammingGraph, ordering: Ordering) -> list[array] | None:
     """The ordering's coordinates, one array('I') each in position order, if
-    it lists every vertex of g once, by check_vertex's test; None otherwise.
-    The set that tests distinctness is freed before the columns are built."""
-    sizes = g.factor_sizes
-    if not (
-        len(ordering) == g.vertex_count
-        and all(map(isinstance, ordering, repeat(tuple)))
-        and set(map(len, ordering)) <= {len(sizes)}
-        and are_ints(chain.from_iterable(ordering))
-        and len(set(ordering)) == len(ordering)
-    ):
+    it lists every vertex of g once (HammingGraph.vertex_columns); None
+    otherwise."""
+    if len(ordering) != g.vertex_count or (columns := g.vertex_columns(ordering)) is None:
         return None
-    try:
-        columns = [array("I", map(itemgetter(c), ordering)) for c in range(len(sizes))]
-    except OverflowError:  # a coordinate below 0 or of 32 bits or more
-        return None
-    ranges = zip(map(set, columns), sizes)
-    return columns if all(min(v) >= 1 and max(v) <= size for v, size in ranges) else None
+    return columns if len(set(ordering)) == len(ordering) else None
 
 
 def check_graceful(g: HammingGraph, ordering: Ordering) -> GracefulReport:
@@ -418,9 +426,6 @@ def verify_labeling_csv(g: HammingGraph, path: str) -> ValidationReport:
 
 def _verify_canonical(g: HammingGraph, path: str) -> ValidationReport | None:
     sizes, n = g.factor_sizes, g.vertex_count
-    offset = 0  # what coordinates from 1, not 0, add to a key
-    for size in sizes:
-        offset = offset * size + 1
     keys: list[int] = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -436,10 +441,7 @@ def _verify_canonical(g: HammingGraph, path: str) -> ValidationReport | None:
                     for column, size in zip(coordinates, sizes)
                 ):
                     return None
-                chunk_keys = labels  # the leading digits, then Horner's rule
-                for column, size in zip(coordinates, sizes):
-                    chunk_keys = map(add, map(mul, chunk_keys, repeat(size)), column)
-                keys.extend(map(sub, chunk_keys, repeat(offset)))
+                keys.extend(_vertex_keys(g, labels, coordinates))
                 if len(keys) > n:  # a repeated vertex
                     return None
     except (LabelingError, UnicodeDecodeError, csv.Error):
@@ -451,18 +453,7 @@ def _verify_canonical(g: HammingGraph, path: str) -> ValidationReport | None:
         seen[index] = 1
     if 0 in seen:  # n rows leave a vertex unseen iff they repeat one
         return None
-    keys.sort()
-    try:
-        labels = array("q", map(floordiv, keys, repeat(n)))
-    except OverflowError:  # labels of 2^63 or more stay Python ints
-        labels = [key // n for key in keys]
-    columns, weight = [], n
-    for size in sizes:
-        weight //= size  # of this coordinate in the index
-        digits = map(mod, map(floordiv, keys, repeat(weight)), repeat(size))
-        columns.append(array("I", map(add, digits, repeat(1))))
-    del keys  # before the window scan: the arrays hold every row
-    return _report(lambda i: tuple(column[i] for column in columns), columns, labels, g.diameter)
+    return _key_report(g, keys)
 
 
 def csv_vertex_template(dimension: int) -> str:
@@ -491,9 +482,9 @@ def write_labeling_csv(target: Union[str, TextIO], labeling: RadioLabeling) -> N
     target.write("vertex,label\n")
     if not labeling:
         return
-    labels, vertices = zip(*sorted(zip(labeling.values(), labeling)))
-    dimension = len(vertices[0])
-    if set(map(len, vertices)) != {dimension}:
+    dimension = len(next(iter(labeling)))
+    if set(map(len, labeling)) != {dimension}:
         raise TypeError("the vertices of a labeling must have one dimension")
-    rows = map(add, vertices, zip(labels))  # (*vertex, label)
+    pairs = sorted(zip(labeling.values(), labeling))
+    rows = map(add, map(itemgetter(1), pairs), zip(map(itemgetter(0), pairs)))  # (*vertex, label)
     write_csv_rows(target, f"{csv_vertex_template(dimension)},%s\n", rows)

@@ -315,7 +315,11 @@ def test_verify_bijection_matches_item_by_item_check(sizes, data):
         assert bijection
     else:
         assert bijection == oracles.is_bijection(sizes, ordering)
-    assert g.are_vertices(ordering) == all(_passes_check_vertex(g, v) for v in ordering)
+    columns = g.vertex_columns(ordering)
+    if all(_passes_check_vertex(g, v) for v in ordering):
+        assert columns == [array("I", c) for c in zip(*ordering)]
+    else:
+        assert columns is None
     if kind in BAD_ITEMS and (kind != "duplicate" or len(ordering) > 1):
         assert not bijection
     refusal = f"^ordering is not a bijection onto the vertices of {g}$"
@@ -371,13 +375,15 @@ LABEL_BASES = [0, 2**31 - 9, 2**32, 2**63 - 9, 2**64, 10**20]
 )
 def test_validate_matches_the_violating_pairs(sizes, chunk, base, data):
     # few distinct labels give duplicates, and jumps of 2^31 and 2^64 put
-    # labels more than 31 and 64 bits apart in one window
+    # labels more than 31 and 64 bits apart in one window; the dict order
+    # is any order of the vertices
     g = HammingGraph(sizes)
     n = g.vertex_count
     offsets = st.integers(0, data.draw(st.sampled_from([n // 3, 2 * n, 4 * n])))
     jumped = st.builds(operator.add, offsets, st.sampled_from([2**31, 2**64]))
     labels = data.draw(st.lists(offsets | jumped, min_size=n, max_size=n))
-    labeling = {v: base + 1 + x for v, x in zip(g.vertices(), labels)}
+    vertices = data.draw(st.permutations(g.vertices()))
+    labeling = {v: base + 1 + x for v, x in zip(vertices, labels)}
     with mock.patch.object(labeling_mod, "_CHUNK", chunk):
         report = validate(g, labeling)
     expected = oracles.violating_pairs(sizes, labeling)
@@ -397,6 +403,24 @@ def test_validate_and_check_graceful_across_a_full_chunk_seam(base):
     assert expected and not check_graceful(g, ordering).graceful
 
 
+@pytest.mark.parametrize("sizes", [(30, 30, 30), (2, 2, 5000)])
+def test_validate_holds_under_100_bytes_per_vertex(sizes):
+    # the walk witness that solve() checks: validate holds one int key per
+    # vertex, then the sorted label and coordinate arrays, about 74 bytes
+    g = HammingGraph(sizes)
+    labeling = {}
+    for *columns, labels in labeling_mod.label_walk(g):
+        labeling.update(zip(zip(*columns), labels))
+    tracemalloc.start()
+    try:
+        report = validate(g, labeling)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid
+    assert peak < 100 * g.vertex_count
+
+
 @pytest.mark.parametrize("base", [2**31 - 9, 2**32, 2**63 - 9])
 def test_window_scan_packs_32_bit_lanes(base):
     # labels from 2^31 are rebased rather than packed in wider lanes
@@ -412,7 +436,7 @@ def test_window_scan_packs_32_bit_lanes(base):
 
     with mock.patch.object(labeling_mod, "array", recording_array):
         report = validate(g, labeling)
-    assert set(codes) == {"I"}
+    assert set(codes) == {"I", "q"}  # coordinate columns and lanes, and the labels
     assert _report_rows(report) == oracles.violating_pairs(sizes, labeling)
 
 
